@@ -38,9 +38,7 @@ from .core import (
     SmoothnessConstant,
     ValidationError,
     VarianceEnvelope,
-    cumulative_b,
     moment_ratio,
-    partial_moment_sum,
     required_exponents,
 )
 from .gaussian import RatioCurvePoint, abs_moment_normal, ratio_curve

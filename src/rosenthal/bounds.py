@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import C_A, C_B, c_j, c_tilde, optimize_lambdas
+from .constants import C_A, C_B, _resolve_lambdas, c_j, c_tilde
 from .core import (
     BoundReport,
     DomainError,
     MomentProfile,
     ValidationError,
     VarianceEnvelope,
+    _ratio_scalar,
     half_layers,
     moment_ratio,
     pow00,
@@ -32,7 +33,7 @@ from .core import (
 )
 from .optimize import golden_section_minimize, grid_then_golden_minimize
 from .schedules import PQSchedule, default_schedule
-from .subset_sums import MinGroupedSumSpec, elementary_symmetric_suffix, min_grouped_sum
+from .subset_sums import _check_finite_nonneg, _layer_sum, elementary_symmetric_suffix
 
 __all__ = [
     "Pin94Config",
@@ -105,20 +106,19 @@ def theorem_bound(
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
     m = half_layers(t)
-    w = tuple(float(x * x) for x in envelope.b)
+    w = envelope.b * envelope.b
+    _check_finite_nonneg("weights", w)
     table = elementary_symmetric_suffix(w, max(m - 1, 0))
 
     layer_constants = [c_j(t, D, schedule, j) for j in range(m)]
     top_constant = c_tilde(t, D, schedule)
+    prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
+    prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
 
     value = 0.0
-    for j in range(m):
-        g = profile.prefix_sums(t - 2.0 * j)
-        spec = MinGroupedSumSpec(w, tuple(g), j)
-        value += layer_constants[j] * min_grouped_sum(spec, esp_table=table)
-    g_top = pow00(profile.prefix_sums(2.0), t / 2.0 - m)
-    spec = MinGroupedSumSpec(w, tuple(g_top), m)
-    value += top_constant * min_grouped_sum(spec, esp_table=table)
+    for j, (c, g) in enumerate(zip(layer_constants + [top_constant], prefix)):
+        _check_finite_nonneg("prefix values", g)
+        value += c * _layer_sum(g, w, table, j)
 
     return BoundReport(
         value=value,
@@ -147,17 +147,15 @@ def corollary_bound(
         raise DomainError(f"the aggregated bound needs t > 2, got t={t}")
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
-    A_t = profile.total(t)
-    B = envelope.total()
+    return _aggregated(t, D, schedule, profile.total(t), envelope.total(), lambdas)
+
+
+def _aggregated(
+    t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas="optimize"
+) -> BoundReport:
+    """The aggregated bound's report from the totals A_n(t) and B_n."""
     m = half_layers(t)
-    if isinstance(lambdas, str):
-        if lambdas != "optimize":
-            raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-        lam = optimize_lambdas(t, D, schedule, A_t, B)
-    elif lambdas is None:
-        lam = (1.0,) * m
-    else:
-        lam = tuple(float(x) for x in lambdas)
+    lam = _resolve_lambdas(t, D, schedule, A_t, B, lambdas)
     ca = C_A(t, D, schedule, lam)
     cb = C_B(t, D, schedule, lam)
     return BoundReport(
@@ -170,15 +168,8 @@ def corollary_bound(
             "c_tilde": c_tilde(t, D, schedule),
         },
         parameters={"lambdas": list(lam), "schedule": schedule.to_dict()},
-        ratio_r=moment_ratio(profile, envelope),
+        ratio_r=_ratio_scalar(t, A_t, B),
     )
-
-
-def _ratio_scalar(t: float, A_t: float, B: float) -> float | None:
-    if B <= 0.0:
-        return None
-    r = A_t / B**t
-    return float(r) if math.isfinite(r) else None
 
 
 def closed_form_2_3(t: float, D, A_t: float, B: float) -> BoundReport:
@@ -332,16 +323,12 @@ def pin94_bound(
     )
 
 
-def _best_beta_corollary(
-    profile: MomentProfile, envelope: VarianceEnvelope, D
-) -> BoundReport:
+def _best_beta_corollary(t: float, D: float, A_t: float, B: float) -> BoundReport:
     """Aggregated bound with the schedule parameter tuned over the fixed
     grid plus golden-section refinement of the best cell."""
 
     def report_at(beta: float) -> BoundReport:
-        return corollary_bound(
-            profile, envelope, D, PQSchedule.beta_family(beta), lambdas="optimize"
-        )
+        return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
 
     beta, _ = grid_then_golden_minimize(
         lambda b: report_at(b).value, BETA_GRID, tol=1e-10
@@ -375,10 +362,10 @@ def best_bound(
 
     candidates = [
         theorem_bound(profile, envelope, D, schedule),
-        corollary_bound(profile, envelope, D, schedule, lambdas="optimize"),
+        _aggregated(t, D, schedule, A_t, B),
     ]
     if t > 3.0:
-        candidates.append(_best_beta_corollary(profile, envelope, D))
+        candidates.append(_best_beta_corollary(t, D, A_t, B))
     if 2.0 < t <= 3.0:
         candidates.append(closed_form_2_3(t, D, A_t, B))
     if 2.0 < t <= 4.0:

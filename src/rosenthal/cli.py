@@ -8,9 +8,9 @@ ratio-curve  emit the (t-1)/E|Z|^t comparison curve as CSV or JSON
 verify       simulate a built-in martingale model and check the bounds
 
 Exit codes: 0 success (for verify: check passed), 1 verify check failed,
-2 usage or validation error.  All floating-point output carries 12
-significant digits.  The ROSENTHAL_THREADS environment variable caps the
-simulation worker count and never changes results.
+2 usage, validation or arithmetic-overflow error.  All floating-point
+output carries 12 significant digits.  The ROSENTHAL_THREADS environment
+variable caps the simulation worker count and never changes results.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import C_A, C_B, optimize_lambdas
-from .core import DomainError, ValidationError, half_layers
+from .constants import C_A, C_B, _resolve_lambdas
+from .core import DomainError, ValidationError
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
 
@@ -111,26 +111,6 @@ class LipschitzMomentData:
         object.__setattr__(self, "rho_2", tuple(float(x) for x in r2))
 
 
-def _aggregated_constants(
-    t: float,
-    schedule: PQSchedule | None,
-    lambdas: Sequence[float] | str | None,
-    A_t: float,
-    B: float,
-) -> tuple[float, float]:
-    schedule = schedule or default_schedule()
-    m = half_layers(t)
-    if isinstance(lambdas, str):
-        if lambdas != "optimize":
-            raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-        lam: Sequence[float] = optimize_lambdas(t, 1.0, schedule, A_t, B)
-    elif lambdas is None:
-        lam = (1.0,) * m
-    else:
-        lam = tuple(float(x) for x in lambdas)
-    return C_A(t, 1.0, schedule, lam), C_B(t, 1.0, schedule, lam)
-
-
 def separately_lipschitz_bound(
     data: LipschitzMomentData,
     schedule: PQSchedule | None = None,
@@ -164,8 +144,8 @@ def sum_norm_bound(
         raise ValidationError("moment sums must be >= 0")
     if not (math.isfinite(moments_t) and math.isfinite(moments_2)):
         raise ValidationError("moment sums must be finite")
-    ca, cb = _aggregated_constants(
-        t, schedule, lambdas, moments_t, math.sqrt(moments_2)
-    )
+    schedule = schedule or default_schedule()
+    lam = _resolve_lambdas(t, 1.0, schedule, moments_t, math.sqrt(moments_2), lambdas)
+    ca, cb = C_A(t, 1.0, schedule, lam), C_B(t, 1.0, schedule, lam)
     _, c_t = find_bt(t)
     return c_t * ca * moments_t + cb * moments_2 ** (t / 2.0)

@@ -166,6 +166,20 @@ def optimize_lambdas(
     return tuple(out)
 
 
+def _resolve_lambdas(
+    t: float, D, schedule: PQSchedule, A_t: float, B: float, lambdas
+) -> tuple[float, ...]:
+    """Balancing parameters given as an explicit sequence, ``None`` for all
+    ones, or ``"optimize"`` for :func:`optimize_lambdas` at (A_t, B)."""
+    if isinstance(lambdas, str):
+        if lambdas != "optimize":
+            raise ValidationError(f"unknown lambdas mode {lambdas!r}")
+        return optimize_lambdas(t, D, schedule, A_t, B)
+    if lambdas is None:
+        return (1.0,) * half_layers(t)
+    return tuple(float(x) for x in lambdas)
+
+
 @dataclass(frozen=True)
 class ConstantSet:
     """All constants of the bounds at one (t, D, schedule, lambdas) tuple."""

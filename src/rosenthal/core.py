@@ -29,8 +29,6 @@ __all__ = [
     "required_exponents",
     "half_layers",
     "pow00",
-    "partial_moment_sum",
-    "cumulative_b",
     "moment_ratio",
 ]
 
@@ -368,27 +366,21 @@ class BoundReport:
         }
 
 
-def partial_moment_sum(profile: MomentProfile, k: int, s: float) -> float:
-    """A_k(s) = sum of the first k per-increment moments at exponent s.
-
-    The empty sum A_0(s) is 0.  Raises :class:`MissingExponentError` when
-    s is not stored.
-    """
-    return profile.partial_sum(k, s)
-
-
-def cumulative_b(envelope: VarianceEnvelope, k: int) -> float:
-    """B_k = sqrt(b_1^2 + ... + b_k^2); B_0 = 0."""
-    return envelope.cumulative(k)
+def _ratio_scalar(t: float, A_t: float, B: float) -> float | None:
+    """A_t / B^t, or None when B = 0 or the quotient is not a finite float
+    (B^t overflowing included)."""
+    if B <= 0.0:
+        return None
+    try:
+        r = A_t / B**t
+    except OverflowError:
+        return None
+    return float(r) if math.isfinite(r) else None
 
 
 def moment_ratio(profile: MomentProfile, envelope: VarianceEnvelope) -> float | None:
     """A_n(t) / B_n^t, or None when undefined (B_n = 0, t unstored, or
-    a non-finite quotient)."""
+    a quotient that is not a finite float)."""
     if not profile.has_exponent(profile.t):
         return None
-    B = envelope.total()
-    if B <= 0.0:
-        return None
-    r = profile.total(profile.t) / B ** profile.t
-    return float(r) if math.isfinite(r) else None
+    return _ratio_scalar(profile.t, profile.total(profile.t), envelope.total())

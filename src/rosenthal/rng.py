@@ -58,7 +58,12 @@ def worker_count(threads: int | None = None) -> int:
     if threads is None:
         env = os.environ.get(THREADS_ENV_VAR, "").strip()
         if env:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValidationError(
+                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
+                ) from None
         else:
             threads = min(_DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
     threads = int(threads)

@@ -8,12 +8,18 @@ reduces this to
     sum_{k=1..n} g(k-1) * w_k * e_{j-1}(w_{k+1}, ..., w_n),
 
 where e_r is the elementary symmetric polynomial of the suffix, so a single
-O(n * j) table of suffix polynomials evaluates every cardinality.  A direct
+O(n * j) table of suffix polynomials evaluates every cardinality.  Since
+e_r(w_k, ...) = sum_{i>=k} w_i e_{r-1}(w_{i+1}, ...), each order of the
+table is one vectorised pass: a reversed cumulative sum.  Each cardinality
+is then one array of terms reduced by ``math.fsum``, which rounds the sum
+correctly and so does not depend on the order of the terms.  Every term is
+>= 0, so a sum that overflows the float range is +inf.  A direct
 enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -30,6 +36,11 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_N = 20
+
+
+def _check_finite_nonneg(name: str, x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ValidationError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,10 +64,8 @@ class MinGroupedSumSpec:
                 "need n weights and n+1 prefix values, got "
                 f"{w.shape[0]} and {g.shape[0]}"
             )
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w < 0)):
-            raise ValidationError("weights must be finite and >= 0")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValidationError("prefix values must be finite and >= 0")
+        _check_finite_nonneg("weights", w)
+        _check_finite_nonneg("prefix values", g)
         if int(self.j) != self.j or self.j < 0:
             raise ValidationError(f"cardinality j must be an integer >= 0, got {self.j}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
@@ -73,32 +82,42 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
 
     Returns an array T of shape (n+1, order+1) with ``T[k, r]`` equal to
     e_r(weights[k:]) for 0-based suffix starts k = 0..n; row n is the
-    empty suffix.  e_0 = 1 by the empty-product convention, and
-    e_r(w_k..) = e_r(w_{k+1}..) + w_k * e_{r-1}(w_{k+1}..).
+    empty suffix.  e_0 = 1 by the empty-product convention, and order r is
+    the reversed cumulative sum of w_k * e_{r-1}(w_{k+1}..).  Entries that
+    exceed the float range are +inf, or NaN where a zero weight meets one.
     """
     if int(order) != order or order < 0:
         raise ValidationError(f"order must be an integer >= 0, got {order}")
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
-    table = np.zeros((n + 1, int(order) + 1))
+    # Column-major, so that every order is one contiguous column.
+    table = np.zeros((n + 1, int(order) + 1), order="F")
     table[:, 0] = 1.0
-    if order >= 1:
-        for k in range(n - 1, -1, -1):
-            table[k, 1:] = table[k + 1, 1:] + w[k] * table[k + 1, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, int(order) + 1):
+            table[:n, r] = np.cumsum((w * table[1:, r - 1])[::-1])[::-1]
     return table
 
 
-def _kahan_sum(terms) -> float:
-    # Compensated accumulation in a fixed order keeps results
-    # bit-reproducible across runs.
-    total = 0.0
-    carry = 0.0
-    for x in terms:
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+def _layer_sum(g: np.ndarray, w: np.ndarray, esp_table: np.ndarray | None, j: int) -> float:
+    """The min-grouped sum of cardinality j for weight and prefix arrays.
+
+    Every term is >= 0, so an overflowing sum, and a 0 * inf term left by
+    an overflowed table entry, both give +inf: the value stays an upper
+    bound.  ``esp_table`` is only read when 0 < j <= n.
+    """
+    n = w.shape[0]
+    if j > n:
+        return 0.0
+    if j == 0:
+        return float(g[n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = g[:n] * w * esp_table[1:, j - 1]
+    try:
+        total = math.fsum(terms.tolist())
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(total) else total
 
 
 def min_grouped_sum(spec: MinGroupedSumSpec, *, esp_table: np.ndarray | None = None) -> float:
@@ -109,19 +128,13 @@ def min_grouped_sum(spec: MinGroupedSumSpec, *, esp_table: np.ndarray | None = N
     least j - 1 may be supplied to share work across cardinalities.
     """
     n, j = spec.n, spec.j
-    g = spec.prefix_values
-    if j > n:
-        return 0.0
-    if j == 0:
-        return g[n]
-    w = spec.weights
-    if esp_table is None:
-        esp_table = elementary_symmetric_suffix(w, j - 1)
-    elif esp_table.shape[0] != n + 1 or esp_table.shape[1] < j:
-        raise ValidationError("esp_table does not match the spec")
-    return _kahan_sum(
-        g[k] * w[k] * esp_table[k + 1, j - 1] for k in range(n)
-    )
+    w = np.asarray(spec.weights, dtype=float)
+    if 0 < j <= n:
+        if esp_table is None:
+            esp_table = elementary_symmetric_suffix(w, j - 1)
+        elif esp_table.shape[0] != n + 1 or esp_table.shape[1] < j:
+            raise ValidationError("esp_table does not match the spec")
+    return _layer_sum(np.asarray(spec.prefix_values, dtype=float), w, esp_table, j)
 
 
 def brute_force_min_grouped_sum(spec: MinGroupedSumSpec) -> float:

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 from conftest import make_valid_case
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenthal import (
     DomainError,
+    MinGroupedSumSpec,
     MomentProfile,
     PQSchedule,
     Pin94Config,
     VarianceEnvelope,
     best_bound,
+    brute_force_min_grouped_sum,
+    c_j,
+    c_tilde,
     closed_form_2_3,
     closed_form_3_4,
     closed_form_min,
@@ -20,6 +26,8 @@ from rosenthal import (
     t3_bound,
     theorem_bound,
 )
+from rosenthal.bounds import _best_beta_corollary
+from rosenthal.core import pow00, required_exponents
 
 
 def case(t, a_by_s, b):
@@ -66,6 +74,14 @@ class TestTheoremBound:
         # top term: c~_2 * e_2(w) = 6 * 1 = 6; layers vanish except the
         # j=1 layer, which also uses A(2) prefixes equal to zero.
         assert rep.value == pytest.approx(6.0, rel=1e-14)
+
+    def test_overflow_is_inf(self):
+        # Layer 3 overflows; an overflowed table entry meets A_0 = 0.
+        t = 7.0
+        prof = MomentProfile(4, t, {s: [1.0] * 4 for s in required_exponents(t)})
+        rep = theorem_bound(prof, VarianceEnvelope([1e120] * 4), 1.0)
+        assert rep.value == math.inf
+        assert rep.ratio_r is None
 
     def test_length_mismatch(self):
         from rosenthal import ValidationError
@@ -257,6 +273,16 @@ class TestBestBound:
             default = corollary_bound(prof, env, 1.0)
             assert best.value <= default.value * (1 + 1e-12)
 
+    def test_scanned_candidate_is_corollary_at_its_beta(self):
+        rng = np.random.default_rng(10)
+        for t in (3.5, 6.5, 11.0):
+            prof, env = make_valid_case(rng, t=t, n=9)
+            scanned = _best_beta_corollary(t, 2.0, prof.total(t), env.total())
+            beta = scanned.parameters["schedule"]["beta"]
+            plain = corollary_bound(prof, env, 2.0, PQSchedule.beta_family(beta))
+            assert scanned.to_dict() == plain.to_dict()
+            assert best_bound(prof, env, 2.0).value <= scanned.value
+
     def test_includes_pin94_only_on_request(self):
         prof, env = case(3.0, {3.0: [1.0], 2.0: [1.0]}, [1.0])
         rep = best_bound(prof, env, 1.0, pin94=Pin94Config(K=1e-9))
@@ -298,3 +324,31 @@ class TestStructuralProperties:
         prof, env = case(3.0, {3.0: [2.0], 2.0: [1.0]}, [2.0])
         rep = theorem_bound(prof, env, 1.0)
         assert rep.ratio_r == pytest.approx(2.0 / 8.0)
+
+
+@st.composite
+def small_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    t = draw(st.floats(min_value=2.0, max_value=12.0, exclude_min=True))
+    D = draw(st.sampled_from([1.0, math.sqrt(2.0), 2.0]))
+    b = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    moments = {s: np.array(draw(unit)) * b**s for s in required_exponents(t)}
+    return MomentProfile(n, t, moments), VarianceEnvelope(b), D
+
+
+@given(small_cases())
+@settings(max_examples=80, deadline=None)
+def test_theorem_matches_brute_force_layers(case_):
+    prof, env, D = case_
+    t = prof.t
+    m = int(t // 2)
+    w = tuple(env.b**2)
+    prefix = [prof.prefix_sums(t - 2.0 * j) for j in range(m)]
+    prefix.append(pow00(prof.prefix_sums(2.0), t / 2.0 - m))
+    consts = [c_j(t, D, None, j) for j in range(m)] + [c_tilde(t, D)]
+    expect = sum(
+        c * brute_force_min_grouped_sum(MinGroupedSumSpec(w, tuple(g), j))
+        for j, (c, g) in enumerate(zip(consts, prefix))
+    )
+    assert theorem_bound(prof, env, D).value == pytest.approx(expect, rel=1e-12, abs=0.0)

@@ -65,6 +65,18 @@ class TestBoundCommand:
         assert code == 2
         assert "t" in err
 
+    def test_overflow_exits_two(self, tmp_path, capsys):
+        case = {
+            "profile": {"n": 2, "t": 3.0, "moments": {"3": [1.0, 1.0], "2": [1.0, 1.0]}},
+            "envelope": {"b": [1e120, 1.0]},
+            "D": 1.0,
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(case))
+        code, _, err = run_main(["bound", "--input", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(["bound", "--input", "/nonexistent.json"], capsys)
         assert code == 2

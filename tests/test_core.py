@@ -12,12 +12,10 @@ from rosenthal import (
     SmoothnessConstant,
     ValidationError,
     VarianceEnvelope,
-    cumulative_b,
     moment_ratio,
-    partial_moment_sum,
     required_exponents,
 )
-from rosenthal.core import exponent_key, pow00
+from rosenthal.core import _ratio_scalar, exponent_key, pow00
 
 
 def profile_t3(a3, a2):
@@ -27,47 +25,47 @@ def profile_t3(a3, a2):
 class TestPartialMomentSum:
     def test_empty_sum(self):
         p = profile_t3([1, 1, 1], [1, 1, 1])
-        assert partial_moment_sum(p, 0, 3.0) == 0.0
+        assert p.partial_sum(0, 3.0) == 0.0
 
     def test_prefix(self):
         p = profile_t3([1, 2, 3], [1, 1, 1])
-        assert partial_moment_sum(p, 2, 3.0) == 3.0
+        assert p.partial_sum(2, 3.0) == 3.0
 
     def test_at_two(self):
         p = profile_t3([1, 1], [4, 4])
-        assert partial_moment_sum(p, 2, 2.0) == 8.0
+        assert p.partial_sum(2, 2.0) == 8.0
 
     def test_missing_exponent(self):
         p = profile_t3([1], [1])
         with pytest.raises(MissingExponentError):
-            partial_moment_sum(p, 1, 2.5)
+            p.partial_sum(1, 2.5)
 
     def test_bad_index(self):
         p = profile_t3([1], [1])
         with pytest.raises(DomainError):
-            partial_moment_sum(p, 2, 3.0)
+            p.partial_sum(2, 3.0)
 
     def test_nondecreasing_in_k(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(0, 5, size=12)
         p = MomentProfile(12, 3.0, {3.0: a, 2.0: rng.uniform(0, 5, size=12)})
-        sums = [partial_moment_sum(p, k, 3.0) for k in range(13)]
+        sums = [p.partial_sum(k, 3.0) for k in range(13)]
         assert all(x <= y + 1e-15 for x, y in zip(sums, sums[1:]))
 
 
 class TestCumulativeB:
     def test_three_four_five(self):
-        assert cumulative_b(VarianceEnvelope([3, 4]), 2) == pytest.approx(5.0, abs=1e-15)
+        assert VarianceEnvelope([3, 4]).cumulative(2) == pytest.approx(5.0, abs=1e-15)
 
     def test_empty_prefix(self):
-        assert cumulative_b(VarianceEnvelope([1]), 0) == 0.0
+        assert VarianceEnvelope([1]).cumulative(0) == 0.0
 
     def test_four_ones(self):
-        assert cumulative_b(VarianceEnvelope([1, 1, 1, 1]), 4) == pytest.approx(2.0)
+        assert VarianceEnvelope([1, 1, 1, 1]).cumulative(4) == pytest.approx(2.0)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            cumulative_b(VarianceEnvelope([1]), 2)
+            VarianceEnvelope([1]).cumulative(2)
 
     def test_cumulative_array_monotone(self):
         env = VarianceEnvelope(np.random.default_rng(1).uniform(0.1, 2, size=20))
@@ -183,6 +181,11 @@ class TestMomentRatio:
         p = profile_t3([1.0], [1.0])
         env = VarianceEnvelope([2.0])
         assert moment_ratio(p, env) == pytest.approx(1.0 / 8.0)
+
+    def test_none_when_power_overflows(self):
+        p = profile_t3([1.0, 1.0], [1.0, 1.0])
+        assert moment_ratio(p, VarianceEnvelope([1e120, 1.0])) is None
+        assert _ratio_scalar(3.0, 1.0, 1e120) is None
 
     def test_none_when_t_unstored(self):
         p = MomentProfile(1, 1.0, {2.0: [1.0]})

@@ -16,6 +16,7 @@ from rosenthal import (
     simulate,
 )
 from rosenthal.models import MODEL_KINDS
+from rosenthal.rng import THREADS_ENV_VAR, worker_count
 
 
 class TestValidation:
@@ -45,6 +46,11 @@ class TestValidation:
             assert model.kind == kind
         with pytest.raises(ValidationError):
             make_model("nope", 4)
+
+    def test_thread_count_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "x")
+        with pytest.raises(ValidationError):
+            worker_count()
 
     def test_builtins_cover_all_kinds(self):
         kinds = [m.kind for m in builtin_models(3)]

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -140,3 +141,28 @@ def test_monotone_in_inputs():
         g2 = g.copy()
         g2[k] += rng.uniform(0, 1)
         assert min_grouped_sum(MinGroupedSumSpec(tuple(w), tuple(g2), j)) >= base - 1e-12
+
+
+def test_cumsum_table_matches_row_recursion():
+    # Reference: the row recursion e_r(w_k..) = e_r(w_{k+1}..) + w_k e_{r-1}(w_{k+1}..).
+    rng = np.random.default_rng(3)
+    n, order = 2000, 6
+    w = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    ref = np.zeros((n + 1, order + 1))
+    ref[:, 0] = 1.0
+    for k in range(n - 1, -1, -1):
+        ref[k, 1:] = ref[k + 1, 1:] + w[k] * ref[k + 1, :-1]
+    table = elementary_symmetric_suffix(w, order)
+    assert table.shape == (n + 1, order + 1)
+    np.testing.assert_allclose(table, ref, rtol=1e-12, atol=0.0)
+
+
+class TestOverflow:
+    def test_overflowing_sum_is_inf(self):
+        spec = MinGroupedSumSpec((1e308, 1e308), (1.0, 1.0, 1.0), 1)
+        assert min_grouped_sum(spec) == math.inf
+
+    def test_overflowed_table_entry_times_zero_is_inf(self):
+        # e_2(w[1:]) overflows and meets the prefix value g(0) = 0.
+        spec = MinGroupedSumSpec((1e200,) * 3, (0.0, 1.0, 1.0, 1.0), 3)
+        assert min_grouped_sum(spec) == math.inf
