@@ -4,18 +4,25 @@ Every model guarantees the per-step conditional second-moment bound
 E_{i-1}||X_i||^2 <= b_i^2 surely, by construction; where possible the
 bound holds with equality so the envelope is tight.  Increments are
 symmetric, which makes the partial sums a martingale automatically.
+
+Every model but ``dependent`` also knows its per-step moments
+a_i(s) = E||X_i||^s in closed form (:meth:`MartingaleModel.exact_profile`).
+:func:`simulate` draws only the norm stream of ||S_n||; the moment stream
+of ||X_i|| is drawn on first access to
+:attr:`SimulationResult.increment_norms`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
 
-from .core import ValidationError, VarianceEnvelope
+from .core import MomentProfile, ValidationError, VarianceEnvelope, required_exponents
 from .rng import block_generator, iter_blocks, worker_count
 
 __all__ = [
@@ -69,6 +76,18 @@ class MartingaleModel(ABC):
         """The conditional-variance envelope the construction guarantees."""
         return VarianceEnvelope(self.scale)
 
+    def _moment(self, s: float) -> np.ndarray | None:
+        """Exact per-step moments a_i(s) = E||X_i||^s, or None if unknown."""
+        return None
+
+    def exact_profile(self, t: float) -> MomentProfile | None:
+        """The true moment profile at exponent t, or None when the model
+        has no closed form for its per-step moments."""
+        moments = {s: self._moment(s) for s in required_exponents(t)}
+        if any(a is None for a in moments.values()):
+            return None
+        return MomentProfile(self.n, t, moments, exact=True)
+
     @abstractmethod
     def _simulate_block(
         self, gen: np.random.Generator, size: int, keep_final: bool
@@ -97,6 +116,9 @@ class RademacherModel(MartingaleModel):
         xnorm = np.broadcast_to(self.scale, (size, self.n))
         return np.abs(s), xnorm, (s[:, None] if keep_final else None)
 
+    def _moment(self, s):
+        return self.scale**s
+
 
 class UniformModel(MartingaleModel):
     """Real scalar steps b_i * sqrt(3) * U_i, U_i uniform on [-1, 1].
@@ -111,6 +133,9 @@ class UniformModel(MartingaleModel):
         x = math.sqrt(3.0) * self.scale * u
         s = x.sum(axis=1)
         return np.abs(s), np.abs(x), (s[:, None] if keep_final else None)
+
+    def _moment(self, s):
+        return (math.sqrt(3.0) * self.scale) ** s / (s + 1.0)
 
 
 class TwoPointModel(MartingaleModel):
@@ -137,6 +162,9 @@ class TwoPointModel(MartingaleModel):
         s = x.sum(axis=1)
         return np.abs(s), np.abs(x), (s[:, None] if keep_final else None)
 
+    def _moment(self, s):
+        return 2.0 * self.prob * (self.scale / math.sqrt(2.0 * self.prob)) ** s
+
     def describe(self) -> dict:
         return {**super().describe(), "prob": self.prob}
 
@@ -161,6 +189,9 @@ class HilbertModel(MartingaleModel):
         snorm = np.sqrt((s * s).sum(axis=1))
         xnorm = np.broadcast_to(self.scale, (size, self.n))
         return snorm, xnorm, (s if keep_final else None)
+
+    def _moment(self, s):
+        return self.scale**s
 
     def describe(self) -> dict:
         return {**super().describe(), "dim": self.dim}
@@ -199,6 +230,9 @@ class LpModel(MartingaleModel):
         xnorm = np.broadcast_to(self.scale, (size, self.n))
         return self._lp_norm(s), xnorm, (s if keep_final else None)
 
+    def _moment(self, s):
+        return self.scale**s
+
     def describe(self) -> dict:
         return {**super().describe(), "p": self.p, "dim": self.dim}
 
@@ -233,12 +267,24 @@ class SimulationResult:
     ``final_norms`` holds ||S_n|| per replication (norm stream) and
     ``increment_norms`` holds ||X_i|| per replication and step (moment
     stream), so moment estimates never share randomness with the norm
-    estimate they are compared against.
+    estimate they are compared against.  The moment stream is drawn on
+    first access, with the seed, blocks and worker count of the norm
+    stream, so its bits do not depend on when it is drawn.
     """
 
     final_norms: np.ndarray
-    increment_norms: np.ndarray
-    final_vectors: np.ndarray | None = None
+    final_vectors: np.ndarray | None
+    _model: MartingaleModel = field(repr=False, compare=False)
+    _seed: int = field(repr=False, compare=False)
+    _threads: int = field(repr=False, compare=False)
+
+    @cached_property
+    def increment_norms(self) -> np.ndarray:
+        xnorm, _ = _run_stream(
+            self._model, self._seed, MOMENT_STREAM, self.final_norms.shape[0],
+            self._threads, False,
+        )
+        return xnorm
 
 
 def _run_stream(
@@ -249,8 +295,11 @@ def _run_stream(
     threads: int,
     keep_final: bool,
 ):
-    snorm = np.empty(replications)
-    xnorm = np.empty((replications, model.n))
+    """Run every block of one stream.  The moment stream keeps the
+    increment norms (replications, n), any other stream the final norms
+    (replications,); final vectors are kept only with ``keep_final``."""
+    moments = label == MOMENT_STREAM
+    out = np.empty((replications, model.n) if moments else replications)
     finals = None
     blocks = iter_blocks(replications)
 
@@ -259,8 +308,7 @@ def _run_stream(
         blk, start, stop = task
         gen = block_generator(seed, label, blk)
         s, x, f = model._simulate_block(gen, stop - start, keep_final)
-        snorm[start:stop] = s
-        xnorm[start:stop] = x
+        out[start:stop] = x if moments else s
         if keep_final:
             if finals is None:
                 finals = np.empty((replications, f.shape[1]))
@@ -277,7 +325,7 @@ def _run_stream(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return snorm, xnorm, finals
+    return out, finals
 
 
 def simulate(
@@ -288,23 +336,19 @@ def simulate(
     threads: int | None = None,
     keep_final: bool = False,
 ) -> SimulationResult:
-    """Draw both streams of a model; deterministic in (model, seed,
-    replications) regardless of worker count."""
+    """Draw the norm stream of a model (the moment stream follows on
+    demand); deterministic in (model, seed, replications) regardless of
+    worker count."""
     if int(replications) != replications or replications < 1:
         raise ValidationError(
             f"replications must be an integer >= 1, got {replications}"
         )
     replications = int(replications)
     nthreads = worker_count(threads)
-    snorm, _, finals = _run_stream(
+    snorm, finals = _run_stream(
         model, seed, NORM_STREAM, replications, nthreads, keep_final
     )
-    _, xnorm, _ = _run_stream(
-        model, seed, MOMENT_STREAM, replications, nthreads, False
-    )
-    return SimulationResult(
-        final_norms=snorm, increment_norms=xnorm, final_vectors=finals
-    )
+    return SimulationResult(snorm, finals, model, seed, nthreads)
 
 
 MODEL_KINDS = ("rademacher", "uniform", "two_point", "hilbert", "lp", "dependent")

@@ -1,9 +1,11 @@
 """Monte-Carlo verification: estimate E||S_n||^t for a simulatable model
 and check it against the computed bounds.
 
-Per-step moments a_i(s) are estimated on one random stream and the norm
-moment on an independent second stream, so the two sides of the inequality
-never share randomness.  The check passes when
+The bound is evaluated on the model's exact per-step moments a_i(s) where
+it has a closed form (every built-in model but ``dependent``).  Otherwise
+they are estimated on the moment stream, which is independent of the norm
+stream that estimates E||S_n||^t, so the two sides of the inequality never
+share randomness.  The check passes when
 
     estimate - 3 * standard_error <= layered bound
 
@@ -33,7 +35,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one Monte-Carlo bound check."""
+    """Outcome of one Monte-Carlo bound check.
+
+    ``profile`` is ``"exact"`` when the bound used the model's closed-form
+    moments and ``"estimated"`` when it used the moment stream; ``z`` is
+    (estimate - bound) / std_error, or None when std_error is 0.
+    """
 
     model: dict
     t: float
@@ -45,6 +52,8 @@ class VerificationReport:
     passed: bool
     replications: int
     seed: int
+    profile: str
+    z: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -58,6 +67,8 @@ class VerificationReport:
             "passed": self.passed,
             "replications": self.replications,
             "seed": self.seed,
+            "profile": self.profile,
+            "z": self.z,
         }
 
 
@@ -85,7 +96,10 @@ def check_from_simulation(
     schedule = schedule or default_schedule()
     replications = int(sim.final_norms.shape[0])
 
-    profile = empirical_profile(model, t, sim.increment_norms)
+    profile = model.exact_profile(t)
+    exact = profile is not None
+    if not exact:
+        profile = empirical_profile(model, t, sim.increment_norms)
     envelope = model.envelope()
     D = model.smoothness
 
@@ -115,6 +129,8 @@ def check_from_simulation(
         passed=passed,
         replications=replications,
         seed=int(seed),
+        profile="exact" if exact else "estimated",
+        z=(estimate - bound.value) / std_error if std_error > 0.0 else None,
     )
 
 

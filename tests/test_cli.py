@@ -174,6 +174,23 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["slack"] == 1.0
         assert data["passed"] is True
+        assert data["profile"] == "exact"
+        assert data["z"] is None  # std_error is 0
+
+    def test_profile_and_z_in_json_and_csv(self, capsys):
+        args = ["verify", "--model", "dependent", "--n", "3", "--t", "3",
+                "--seed", "0", "--reps", "2000"]
+        code, out, _ = run_main(args, capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["profile"] == "estimated"
+        assert data["z"] < 0.0
+        code, out, _ = run_main(args + ["--format", "csv"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["profile"] == "estimated"
+        assert float(cells["z"]) == pytest.approx(data["z"], rel=1e-11)
 
     def test_zero_replications_rejected(self, capsys):
         code, _, err = run_main(

@@ -15,8 +15,10 @@ from rosenthal import (
     make_model,
     simulate,
 )
+from rosenthal import models
 from rosenthal.models import MODEL_KINDS
-from rosenthal.rng import THREADS_ENV_VAR, worker_count
+from rosenthal.rng import THREADS_ENV_VAR, block_generator, iter_blocks, worker_count
+from rosenthal.verify import check_from_simulation
 
 
 class TestValidation:
@@ -129,7 +131,13 @@ class TestMartingaleSanity:
 
 class TestDeterminism:
     def test_bitwise_reproducible_across_threads(self):
-        for model in (RademacherModel(7, 1.0), HilbertModel(4, 1.0, dim=3)):
+        for model in (
+            RademacherModel(7, 1.0),
+            HilbertModel(4, 1.0, dim=3),
+            UniformModel(7, 1.0),
+            TwoPointModel(7, 1.0, prob=0.1),
+            DependentModel(7, 1.0),
+        ):
             a = simulate(model, seed=8, replications=20000, threads=1)
             b = simulate(model, seed=8, replications=20000, threads=4)
             assert np.array_equal(a.final_norms, b.final_norms)
@@ -150,3 +158,34 @@ class TestDeterminism:
         a = simulate(RademacherModel(3, 1.0), seed=12, replications=5000)
         b = simulate(RademacherModel(3, 1.0), seed=12, replications=10000)
         assert np.array_equal(a.final_norms, b.final_norms[:5000])
+
+
+class TestMomentStream:
+    SCALE = [0.5, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if k != "dependent"])
+    def test_exact_models_never_draw_moments(self, kind, monkeypatch):
+        labels = []
+
+        def recording(seed, label, block):
+            labels.append(label)
+            return block_generator(seed, label, block)
+
+        monkeypatch.setattr(models, "block_generator", recording)
+        model = make_model(kind, 4, self.SCALE)
+        sim = simulate(model, seed=13, replications=20000)
+        for t in (2.5, 3.0, 3.5, 4.0):
+            assert check_from_simulation(model, sim, t, seed=13).profile == "exact"
+        assert labels and "moments" not in labels
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_increment_norms_match_per_block_reference(self, kind, threads):
+        model = make_model(kind, 4, self.SCALE)
+        reps = 20000
+        sim = simulate(model, seed=14, replications=reps, threads=threads)
+        ref = np.concatenate([
+            model._simulate_block(block_generator(14, "moments", blk), stop - start, False)[1]
+            for blk, start, stop in iter_blocks(reps)
+        ])
+        assert np.array_equal(sim.increment_norms, ref)

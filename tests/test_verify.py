@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from rosenthal import (
+    DependentModel,
     DomainError,
+    HilbertModel,
     LpModel,
     MomentProfile,
     RademacherModel,
     TwoPointModel,
+    UniformModel,
     VarianceEnvelope,
     corollary_bound,
     estimate_and_check,
     simulate,
 )
+from rosenthal.core import required_exponents
 from rosenthal.verify import check_from_simulation, empirical_profile
 
 
@@ -26,6 +30,7 @@ class TestSharpCase:
         assert rep.bound.value == 1.0
         assert rep.slack == 1.0
         assert rep.passed
+        assert rep.z is None
 
 
 class TestCltScale:
@@ -42,6 +47,8 @@ class TestCltScale:
         assert rep.bound.value <= rep.corollary.value
         assert rep.slack is not None and 1.2 < rep.slack < 1.5
         assert rep.passed
+        assert rep.profile == "exact"
+        assert rep.z == (rep.estimate - rep.bound.value) / rep.std_error
 
     def test_vector_model_passes(self):
         model = LpModel(20, 1.0, p=3.0, dim=8)
@@ -96,6 +103,53 @@ class TestEmpiricalProfile:
         prof = empirical_profile(model, 4.7, sim.increment_norms)
         for s in (4.7, 2.7, 2.0):
             assert prof.has_exponent(s)
+
+
+SCALE = [0.5, 1.0, 1.5, 2.0]
+
+
+class TestExactProfile:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RademacherModel(4, SCALE),
+            HilbertModel(4, SCALE, dim=3),
+            LpModel(4, SCALE, p=3.0, dim=4),
+        ],
+        ids=lambda m: m.kind,
+    )
+    @pytest.mark.parametrize("t", [3.0, 4.7])
+    def test_deterministic_norms_match_estimate(self, model, t):
+        sim = simulate(model, seed=6, replications=100)
+        exact = model.exact_profile(t)
+        est = empirical_profile(model, t, sim.increment_norms)
+        for s in required_exponents(t):
+            np.testing.assert_allclose(
+                exact.moment_array(s), est.moment_array(s), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "model",
+        [UniformModel(4, SCALE), TwoPointModel(4, SCALE, prob=0.1)],
+        ids=lambda m: m.kind,
+    )
+    @pytest.mark.parametrize("t", [3.5, 4.7])
+    def test_random_norms_within_four_se(self, model, t):
+        reps = 40_000
+        x = simulate(model, seed=7, replications=reps).increment_norms
+        exact = model.exact_profile(t)
+        for s in required_exponents(t):
+            samples = x**s
+            mean = samples.mean(axis=0)
+            se = samples.std(axis=0, ddof=1) / math.sqrt(reps)
+            assert np.all(np.abs(exact.moment_array(s) - mean) <= 4.0 * se)
+
+    def test_dependent_is_estimated(self):
+        model = DependentModel(4, SCALE)
+        assert model.exact_profile(3.0) is None
+        rep = estimate_and_check(model, 3.0, seed=8, replications=5000)
+        assert rep.profile == "estimated"
+        assert rep.passed
 
 
 class TestReports:
