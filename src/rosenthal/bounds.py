@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import C_A, C_B, _resolve_lambdas, c_j, c_tilde
+from .constants import _aggregate, _check_t, _layer_constants
 from .core import (
     BoundReport,
     DomainError,
@@ -97,21 +97,25 @@ def theorem_bound(
     dependence on D) and are rejected unless ``allow_small_t`` is set.
     """
     _check_pair(profile, envelope)
-    t = profile.t
-    if t < 2.0 and not allow_small_t:
+    if profile.t < 2.0 and not allow_small_t:
         raise DomainError(
-            f"t={t} is below 2; pass allow_small_t=True to evaluate the "
+            f"t={profile.t} is below 2; pass allow_small_t=True to evaluate the "
             "degenerate m=0 form anyway"
         )
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
+    return _layered(profile, envelope, D, schedule, moment_ratio(profile, envelope))
+
+
+def _layered(profile, envelope, D: float, schedule: PQSchedule, ratio_r) -> BoundReport:
+    """The layered bound's report; the caller supplies ratio_r = A_n(t)/B_n^t."""
+    t = profile.t
     m = half_layers(t)
     w = envelope.b * envelope.b
     _check_finite_nonneg("weights", w)
     table = elementary_symmetric_suffix(w, max(m - 1, 0))
 
-    layer_constants = [c_j(t, D, schedule, j) for j in range(m)]
-    top_constant = c_tilde(t, D, schedule)
+    layer_constants, top_constant = _layer_constants(_check_t(t), D, schedule, m)
     prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
     prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
 
@@ -125,7 +129,7 @@ def theorem_bound(
         method="theorem",
         constants={"c": layer_constants, "c_tilde": top_constant},
         parameters={"schedule": schedule.to_dict()},
-        ratio_r=moment_ratio(profile, envelope),
+        ratio_r=ratio_r,
     )
 
 
@@ -154,20 +158,12 @@ def _aggregated(
     t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas="optimize"
 ) -> BoundReport:
     """The aggregated bound's report from the totals A_n(t) and B_n."""
-    m = half_layers(t)
-    lam = _resolve_lambdas(t, D, schedule, A_t, B, lambdas)
-    ca = C_A(t, D, schedule, lam)
-    cb = C_B(t, D, schedule, lam)
+    c, top, lam, ca, cb = _aggregate(t, D, schedule, A_t, B, lambdas)
     return BoundReport(
         value=ca * A_t + cb * B**t,
         method="corollary",
-        constants={
-            "C_A": ca,
-            "C_B": cb,
-            "c": [c_j(t, D, schedule, j) for j in range(m)],
-            "c_tilde": c_tilde(t, D, schedule),
-        },
-        parameters={"lambdas": list(lam), "schedule": schedule.to_dict()},
+        constants={"C_A": ca, "C_B": cb, "c": c, "c_tilde": top},
+        parameters={"lambdas": lam, "schedule": schedule.to_dict()},
         ratio_r=_ratio_scalar(t, A_t, B),
     )
 
@@ -325,15 +321,17 @@ def pin94_bound(
 
 def _best_beta_corollary(t: float, D: float, A_t: float, B: float) -> BoundReport:
     """Aggregated bound with the schedule parameter tuned over the fixed
-    grid plus golden-section refinement of the best cell."""
+    grid plus golden-section refinement of the best cell, on values only."""
 
-    def report_at(beta: float) -> BoundReport:
-        return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
+    def value_at(beta: float) -> float:
+        *_, ca, cb = _aggregate(t, D, PQSchedule.beta_family(beta), A_t, B, "optimize")
+        value = ca * A_t + cb * B**t
+        if math.isnan(value):  # the check every BoundReport makes
+            raise ValidationError(f"bound value must be >= 0, got {value}")
+        return value
 
-    beta, _ = grid_then_golden_minimize(
-        lambda b: report_at(b).value, BETA_GRID, tol=1e-10
-    )
-    return report_at(beta)
+    beta, _ = grid_then_golden_minimize(value_at, BETA_GRID, tol=1e-10)
+    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
 
 
 def best_bound(
@@ -350,18 +348,21 @@ def best_bound(
     balancing parameters (with a schedule-parameter scan on top when the
     schedule weights matter, i.e. t > 3), the closed forms on (2, 4], and
     optionally the comparison bound.  Exact value ties prefer the layered
-    bound, then closed forms, then the aggregation.
+    bound, then closed forms, then the aggregation.  A_n(t) and B_n are
+    summed once for every candidate; the scan evaluates only the value at
+    each beta and builds one report, at the winning beta.
     """
     t = profile.t
     if t <= 2.0:
         raise DomainError(f"best_bound needs t > 2, got t={t}")
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
+    _check_pair(profile, envelope)
     A_t = profile.total(t)
     B = envelope.total()
 
     candidates = [
-        theorem_bound(profile, envelope, D, schedule),
+        _layered(profile, envelope, D, schedule, _ratio_scalar(t, A_t, B)),
         _aggregated(t, D, schedule, A_t, B),
     ]
     if t > 3.0:

@@ -16,6 +16,7 @@ variable caps the simulation worker count and never changes results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -259,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RosenthalError as exc:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import C_A, C_B, _resolve_lambdas
+from .constants import _aggregate
 from .core import DomainError, ValidationError
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
@@ -145,7 +145,6 @@ def sum_norm_bound(
     if not (math.isfinite(moments_t) and math.isfinite(moments_2)):
         raise ValidationError("moment sums must be finite")
     schedule = schedule or default_schedule()
-    lam = _resolve_lambdas(t, 1.0, schedule, moments_t, math.sqrt(moments_2), lambdas)
-    ca, cb = C_A(t, 1.0, schedule, lam), C_B(t, 1.0, schedule, lam)
+    *_, ca, cb = _aggregate(t, 1.0, schedule, moments_t, math.sqrt(moments_2), lambdas)
     _, c_t = find_bt(t)
     return c_t * ca * moments_t + cb * moments_2 ** (t / 2.0)

@@ -17,12 +17,15 @@ two-term form C_A * A_n(t) + C_B * B_n^t with
 
 Each lambda_j trades the A-term against the B-term independently, so the
 minimizing value has a closed form.
+
+Every function here reads the layer constants c_j and c~_m of its
+(t, D, schedule) from one pass, ``_layer_constants``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import DomainError, ValidationError, half_layers, smoothness_value
@@ -52,32 +55,41 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _layer_constants(t: float, D: float, schedule, m: int) -> tuple[list[float], float]:
+    """(c_0, ..., c_{m-1}) and the product of the first m layer factors (c~_m
+    when m = floor(t/2)), with one schedule evaluation per layer.  Each c_j
+    multiplies its front factor by the shared factors k < j in the order of
+    the defining product, so no value changes.  Inputs are not checked."""
+    c: list[float] = []
+    factors: list[float] = []
+    for j in range(m):
+        p, q = pq_eval(schedule, t - 2.0 * j)
+        value = (t - 2 * j - 2 + D * D) / (t - 2 * j - 1) * q
+        for f in factors:
+            value *= f
+        c.append(value)
+        factors.append((t - 2 * j) * (t - 2 * j - 2 + D * D) * p / 2.0)
+    top = 1.0
+    for f in factors:
+        top *= f
+    return c, top
+
+
 def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
     """The j-th layer constant c_j(t), for 0 <= j <= m-1."""
     t = _check_t(t)
     D = smoothness_value(D)
-    schedule = schedule or default_schedule()
     m = half_layers(t)
     if int(j) != j or not 0 <= j <= m - 1:
         raise DomainError(f"layer index j must lie in 0..{m - 1}, got {j}")
-    _, q = pq_eval(schedule, t - 2.0 * j)
-    value = (t - 2 * j - 2 + D * D) / (t - 2 * j - 1) * q
-    for k in range(int(j)):
-        p, _ = pq_eval(schedule, t - 2.0 * k)
-        value *= (t - 2 * k) * (t - 2 * k - 2 + D * D) * p / 2.0
-    return value
+    return _layer_constants(t, D, schedule or default_schedule(), int(j) + 1)[0][-1]
 
 
 def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:
     """The top-layer constant c~_m(t); 1 when m = 0."""
     t = _check_t(t)
     D = smoothness_value(D)
-    schedule = schedule or default_schedule()
-    value = 1.0
-    for j in range(half_layers(t)):
-        p, _ = pq_eval(schedule, t - 2.0 * j)
-        value *= (t - 2 * j) * (t - 2 * j - 2 + D * D) * p / 2.0
-    return value
+    return _layer_constants(t, D, schedule or default_schedule(), half_layers(t))[1]
 
 
 def _check_lambdas(lambdas: Sequence[float], m: int) -> list[float]:
@@ -89,44 +101,58 @@ def _check_lambdas(lambdas: Sequence[float], m: int) -> list[float]:
     return lam
 
 
-def C_A(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
-    """Coefficient of A_n(t) in the aggregated bound (t > 2)."""
+def _check_aggregated_t(t: float) -> float:
     t = _check_t(t)
     if t <= 2.0:
         raise DomainError(f"the aggregated constants need t > 2, got t={t}")
+    return t
+
+
+def _coefficients(t: float, c, top: float, lam) -> tuple[float, float]:
+    """(C_A, C_B) from the layer constants, c~_m and the balancing parameters."""
+    m = len(c)
+    ca, cb = 0.0, top
+    for j in range(1, m + 1):
+        cb /= t / 2.0 - m + j
+    for j, cj in enumerate(c):
+        ca += cj * (t - 2 * j - 2) / (t - 2) / (lam[j] ** (2 * j) * math.factorial(j))
+        cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
+    return ca, cb
+
+
+def _checked_coefficients(t, D, schedule, lambdas) -> tuple[float, float]:
+    t = _check_aggregated_t(t)
     m = half_layers(t)
     lam = _check_lambdas(lambdas, m)
-    total = 0.0
-    for j in range(m):
-        total += (
-            c_j(t, D, schedule, j)
-            * (t - 2 * j - 2)
-            / (t - 2)
-            / (lam[j] ** (2 * j) * math.factorial(j))
-        )
-    return total
+    c, top = _layer_constants(t, smoothness_value(D), schedule or default_schedule(), m)
+    return _coefficients(t, c, top, lam)
+
+
+def C_A(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
+    """Coefficient of A_n(t) in the aggregated bound (t > 2)."""
+    return _checked_coefficients(t, D, schedule, lambdas)[0]
 
 
 def C_B(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
     """Coefficient of B_n^t in the aggregated bound (t > 2)."""
-    t = _check_t(t)
-    if t <= 2.0:
-        raise DomainError(f"the aggregated constants need t > 2, got t={t}")
-    m = half_layers(t)
-    lam = _check_lambdas(lambdas, m)
-    lead = c_tilde(t, D, schedule)
-    for j in range(1, m + 1):
-        lead /= t / 2.0 - m + j
-    total = lead
-    for j in range(m):
-        total += (
-            c_j(t, D, schedule, j)
-            * (2 * j)
-            / (t - 2)
-            * lam[j] ** (t - 2 * j - 2)
-            / math.factorial(j)
-        )
-    return total
+    return _checked_coefficients(t, D, schedule, lambdas)[1]
+
+
+def _balanced_lambdas(t: float, c, A_t: float, B: float) -> tuple[float, ...]:
+    """:func:`optimize_lambdas` from the layer constants c."""
+    out = []
+    for j, cj in enumerate(c):
+        expo = t - 2 * j - 2
+        if j == 0 or expo == 0.0:
+            out.append(1.0)
+            continue
+        u = cj * expo / (t - 2) * A_t / math.factorial(j)
+        v = cj * (2 * j) / (t - 2) * B**t / math.factorial(j)
+        if u == 0.0 or v == 0.0:
+            out.append(1.0)
+        else:
+            out.append((2 * j * u / (expo * v)) ** (1.0 / (t - 2)))
+    return tuple(out)
 
 
 def optimize_lambdas(
@@ -148,36 +174,29 @@ def optimize_lambdas(
         raise DomainError(f"balancing applies for t > 2, got t={t}")
     if A_t < 0.0 or B < 0.0:
         raise ValidationError("moment totals must be >= 0")
+    D = smoothness_value(D)
+    c, _ = _layer_constants(t, D, schedule or default_schedule(), half_layers(t))
+    return _balanced_lambdas(t, c, A_t, B)
+
+
+def _aggregate(
+    t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas
+) -> tuple[list[float], float, list[float], float, float]:
+    """(c, c~_m, lambdas, C_A, C_B) at one (t, D, schedule) from one pass over
+    the layer constants.  ``lambdas`` is a sequence, ``None`` for all ones or
+    ``"optimize"`` (:func:`optimize_lambdas`); either way it passes the checks
+    of :func:`C_A`.  The caller has checked D and A_t, B >= 0."""
+    if isinstance(lambdas, str) and lambdas != "optimize":
+        raise ValidationError(f"unknown lambdas mode {lambdas!r}")
+    t = _check_aggregated_t(t)
     m = half_layers(t)
-    schedule = schedule or default_schedule()
-    out = []
-    for j in range(m):
-        expo = t - 2 * j - 2
-        if j == 0 or expo == 0.0:
-            out.append(1.0)
-            continue
-        cj = c_j(t, D, schedule, j)
-        u = cj * expo / (t - 2) * A_t / math.factorial(j)
-        v = cj * (2 * j) / (t - 2) * B**t / math.factorial(j)
-        if u == 0.0 or v == 0.0:
-            out.append(1.0)
-        else:
-            out.append((2 * j * u / (expo * v)) ** (1.0 / (t - 2)))
-    return tuple(out)
-
-
-def _resolve_lambdas(
-    t: float, D, schedule: PQSchedule, A_t: float, B: float, lambdas
-) -> tuple[float, ...]:
-    """Balancing parameters given as an explicit sequence, ``None`` for all
-    ones, or ``"optimize"`` for :func:`optimize_lambdas` at (A_t, B)."""
+    c, top = _layer_constants(t, D, schedule, m)
     if isinstance(lambdas, str):
-        if lambdas != "optimize":
-            raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-        return optimize_lambdas(t, D, schedule, A_t, B)
-    if lambdas is None:
-        return (1.0,) * half_layers(t)
-    return tuple(float(x) for x in lambdas)
+        lambdas = _balanced_lambdas(t, c, A_t, B)
+    elif lambdas is None:
+        lambdas = (1.0,) * m
+    lam = _check_lambdas(lambdas, m)
+    return c, top, lam, *_coefficients(t, c, top, lam)
 
 
 @dataclass(frozen=True)
@@ -193,37 +212,17 @@ class ConstantSet:
     lambdas: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "D": self.D,
-            "c": list(self.c),
-            "c_tilde": self.c_tilde,
-            "C_A": self.C_A,
-            "C_B": self.C_B,
-            "lambdas": list(self.lambdas),
-        }
+        return dict(asdict(self), c=list(self.c), lambdas=list(self.lambdas))
 
 
 def compute_constants(
-    t: float,
-    D,
-    schedule: PQSchedule | None = None,
-    lambdas: Sequence[float] | None = None,
+    t: float, D, schedule: PQSchedule | None = None, lambdas: Sequence[float] | None = None
 ) -> ConstantSet:
     """Evaluate every constant at once (t > 2); lambdas default to ones."""
-    t = _check_t(t)
-    if t <= 2.0:
-        raise DomainError(f"the aggregated constants need t > 2, got t={t}")
+    t = _check_aggregated_t(t)
     D = smoothness_value(D)
-    schedule = schedule or default_schedule()
     m = half_layers(t)
     lam = tuple(_check_lambdas(lambdas, m)) if lambdas is not None else (1.0,) * m
-    return ConstantSet(
-        t=t,
-        D=D,
-        c=tuple(c_j(t, D, schedule, j) for j in range(m)),
-        c_tilde=c_tilde(t, D, schedule),
-        C_A=C_A(t, D, schedule, lam),
-        C_B=C_B(t, D, schedule, lam),
-        lambdas=lam,
-    )
+    c, top = _layer_constants(t, D, schedule or default_schedule(), m)
+    ca, cb = _coefficients(t, c, top, lam)
+    return ConstantSet(t=t, D=D, c=tuple(c), c_tilde=top, C_A=ca, C_B=cb, lambdas=lam)

@@ -90,9 +90,13 @@ class MartingaleModel(ABC):
 
     @abstractmethod
     def _simulate_block(
-        self, gen: np.random.Generator, size: int, keep_final: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(final norms (size,), increment norms (size, n), final vectors)."""
+        self, gen: np.random.Generator, size: int, keep_final: bool, increments: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(final norms (size,), increment norms (size, n), final vectors).
+
+        Without ``increments`` a model may return None for the increment
+        norms instead of computing them; the other outputs keep their bits.
+        """
 
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n, "scale": [float(b) for b in self.scale]}
@@ -110,7 +114,7 @@ class RademacherModel(MartingaleModel):
 
     kind = "rademacher"
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         x = _signs(gen, (size, self.n)) * self.scale
         s = x.sum(axis=1)
         xnorm = np.broadcast_to(self.scale, (size, self.n))
@@ -128,11 +132,12 @@ class UniformModel(MartingaleModel):
 
     kind = "uniform"
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         u = 2.0 * gen.random((size, self.n)) - 1.0
         x = math.sqrt(3.0) * self.scale * u
         s = x.sum(axis=1)
-        return np.abs(s), np.abs(x), (s[:, None] if keep_final else None)
+        xnorm = np.abs(x) if increments else None
+        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
 
     def _moment(self, s):
         return (math.sqrt(3.0) * self.scale) ** s / (s + 1.0)
@@ -155,12 +160,13 @@ class TwoPointModel(MartingaleModel):
             raise ValidationError(f"point mass must lie in (0, 0.5], got {prob}")
         self.prob = float(prob)
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         u = gen.random((size, self.n))
         eps = np.where(u < self.prob, -1.0, np.where(u >= 1.0 - self.prob, 1.0, 0.0))
         x = (self.scale / math.sqrt(2.0 * self.prob)) * eps
         s = x.sum(axis=1)
-        return np.abs(s), np.abs(x), (s[:, None] if keep_final else None)
+        xnorm = np.abs(x) if increments else None
+        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
 
     def _moment(self, s):
         return 2.0 * self.prob * (self.scale / math.sqrt(2.0 * self.prob)) ** s
@@ -180,7 +186,7 @@ class HilbertModel(MartingaleModel):
             raise ValidationError(f"dimension must be an integer >= 1, got {dim}")
         self.dim = int(dim)
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         g = gen.standard_normal((size, self.n, self.dim))
         nrm = np.sqrt((g * g).sum(axis=2))
         nrm[nrm == 0.0] = 1.0
@@ -221,7 +227,7 @@ class LpModel(MartingaleModel):
     def _lp_norm(self, v: np.ndarray) -> np.ndarray:
         return (np.abs(v) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         g = gen.standard_normal((size, self.n, self.dim))
         nrm = self._lp_norm(g)
         nrm[nrm == 0.0] = 1.0
@@ -249,7 +255,7 @@ class DependentModel(MartingaleModel):
 
     kind = "dependent"
 
-    def _simulate_block(self, gen, size, keep_final):
+    def _simulate_block(self, gen, size, keep_final, increments=True):
         eps = _signs(gen, (size, self.n))
         s = np.zeros(size)
         xnorm = np.empty((size, self.n))
@@ -307,7 +313,7 @@ def _run_stream(
         nonlocal finals
         blk, start, stop = task
         gen = block_generator(seed, label, blk)
-        s, x, f = model._simulate_block(gen, stop - start, keep_final)
+        s, x, f = model._simulate_block(gen, stop - start, keep_final, moments)
         out[start:stop] = x if moments else s
         if keep_final:
             if finals is None:

@@ -12,6 +12,7 @@ from rosenthal import (
     MomentProfile,
     PQSchedule,
     Pin94Config,
+    ValidationError,
     VarianceEnvelope,
     best_bound,
     brute_force_min_grouped_sum,
@@ -292,6 +293,11 @@ class TestBestBound:
         prof, env = case(2.0, {2.0: [1.0]}, [1.0])
         with pytest.raises(DomainError):
             best_bound(prof, env, 1.0)
+
+    def test_rejects_length_mismatch(self):
+        prof, _ = case(3.5, {3.5: [1.0, 1.0], 2.0: [1.0, 1.0]}, [1.0, 1.0])
+        with pytest.raises(ValidationError, match="increments but envelope"):
+            best_bound(prof, VarianceEnvelope([1.0, 1.0, 1.0]), 1.0)
 
 
 class TestStructuralProperties:

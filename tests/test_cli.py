@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import make_valid_case
 
-from rosenthal.cli import main
+from rosenthal import cli
+from rosenthal.cli import build_parser, main
 
 SHARP_CASE = {
     "profile": {"n": 1, "t": 3.0, "moments": {"3": [1.0], "2": [1.0]}},
@@ -218,6 +221,45 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["model"]["prob"] == 0.25
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; no request may see another's options."""
+
+    @pytest.fixture
+    def requests(self, tmp_path):
+        prof, env = make_valid_case(np.random.default_rng(21), t=5.0, n=4)
+        path = tmp_path / "case5.json"
+        path.write_text(json.dumps(
+            {"profile": prof.to_dict(), "envelope": env.to_dict(), "D": 1.5}
+        ))
+        case = str(path)
+        return [
+            ["bound", "--input", case, "--method", "corollary", "--beta", "0.3"],
+            ["bound", "--input", case],
+            ["constants", "--t", "5", "--D", "1.5", "--beta", "0.2", "--format", "csv"],
+            ["constants", "--t", "5", "--D", "1.5"],
+            ["bound", "--input", case, "--method", "pin94", "--c", "2", "--format", "csv"],
+            ["bound", "--input", case, "--method", "pin94"],
+            ["bound", "--input", case, "--method", "theorem", "--beta", "0.8"],
+            ["ratio-curve", "--steps", "5", "--format", "json"],
+            ["ratio-curve", "--steps", "5"],
+        ]
+
+    def test_consecutive_calls_match_calls_alone(self, requests, capsys):
+        alone = []
+        for argv in requests:
+            cli._parser.cache_clear()
+            alone.append(run_main(argv, capsys))
+        assert all(code == 0 and out and not err for code, out, err in alone)
+        assert alone[0][1] != alone[1][1] and alone[2][1] != alone[3][1]
+        for order in (requests, requests[::-1], requests[1::2] + requests[::2]):
+            for argv in order:
+                assert run_main(argv, capsys) == alone[requests.index(argv)]
+
+    def test_parser_built_once_per_process(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestDeterminism:

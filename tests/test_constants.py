@@ -1,7 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from conftest import make_valid_case
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenthal import (
     C_A,
@@ -9,11 +13,17 @@ from rosenthal import (
     DomainError,
     PQSchedule,
     ValidationError,
+    best_bound,
     c_j,
     c_tilde,
     compute_constants,
+    corollary_bound,
     optimize_lambdas,
 )
+from rosenthal.bounds import BETA_GRID, _best_beta_corollary
+from rosenthal.constants import MAX_T
+from rosenthal.optimize import grid_then_golden_minimize
+from rosenthal.schedules import pq_eval
 
 
 class TestLayerConstants:
@@ -129,3 +139,208 @@ class TestOptimizeLambdas:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValidationError):
             optimize_lambdas(3.0, 1.0, None, -1.0, 1.0)
+
+
+# Reference: the constants in their per-function form, each c_j rebuilt from
+# its own product, as the definitions in the module docstring read.
+
+
+def ref_c_j(t, D, schedule, j):
+    _, q = pq_eval(schedule, t - 2.0 * j)
+    value = (t - 2 * j - 2 + D * D) / (t - 2 * j - 1) * q
+    for k in range(j):
+        p, _ = pq_eval(schedule, t - 2.0 * k)
+        value *= (t - 2 * k) * (t - 2 * k - 2 + D * D) * p / 2.0
+    return value
+
+
+def ref_c_tilde(t, D, schedule):
+    value = 1.0
+    for j in range(int(math.floor(t / 2.0))):
+        p, _ = pq_eval(schedule, t - 2.0 * j)
+        value *= (t - 2 * j) * (t - 2 * j - 2 + D * D) * p / 2.0
+    return value
+
+
+def ref_C_A(t, D, schedule, lam):
+    total = 0.0
+    for j in range(len(lam)):
+        total += (
+            ref_c_j(t, D, schedule, j) * (t - 2 * j - 2) / (t - 2)
+            / (lam[j] ** (2 * j) * math.factorial(j))
+        )
+    return total
+
+
+def ref_C_B(t, D, schedule, lam):
+    m = len(lam)
+    lead = ref_c_tilde(t, D, schedule)
+    for j in range(1, m + 1):
+        lead /= t / 2.0 - m + j
+    total = lead
+    for j in range(m):
+        total += (
+            ref_c_j(t, D, schedule, j) * (2 * j) / (t - 2)
+            * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
+        )
+    return total
+
+
+def ref_optimize_lambdas(t, D, schedule, A_t, B):
+    out = []
+    for j in range(int(math.floor(t / 2.0))):
+        expo = t - 2 * j - 2
+        if j == 0 or expo == 0.0:
+            out.append(1.0)
+            continue
+        cj = ref_c_j(t, D, schedule, j)
+        u = cj * expo / (t - 2) * A_t / math.factorial(j)
+        v = cj * (2 * j) / (t - 2) * B**t / math.factorial(j)
+        out.append(1.0 if u == 0.0 or v == 0.0 else (2 * j * u / (expo * v)) ** (1.0 / (t - 2)))
+    return tuple(out)
+
+
+def outcome(f, *args):
+    """The value's repr (exact for floats, NaN included) or the error raised."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def ref_corollary(t, D, schedule, A_t, B):
+    lam = ref_optimize_lambdas(t, D, schedule, A_t, B)
+    if any(not math.isfinite(x) or x <= 0.0 for x in lam):
+        raise ValidationError("balancing parameters must be finite and > 0")
+    ca, cb = ref_C_A(t, D, schedule, lam), ref_C_B(t, D, schedule, lam)
+    return ca * A_t + cb * B**t, ca, cb, lam
+
+
+def beta_table(t, beta):
+    """A custom schedule at the exponents t, t-2, ... that a bound at t reads."""
+    table = {}
+    for j in range(int(math.floor(t / 2.0))):
+        s = t - 2.0 * j
+        table[s] = ((1 - beta) ** (3 - s), beta ** (3 - s)) if s > 3 else (1.25, 1.5)
+    return PQSchedule.custom(table)
+
+
+SCHEDULES = st.one_of(
+    st.none(),
+    st.floats(1e-6, 1 - 1e-6).map(PQSchedule.beta_family),
+)
+
+
+class TestConstantsParity:
+    """Every public constant equals the per-function reference bit for bit."""
+
+    def check_all(self, t, D, schedule):
+        sched = schedule or PQSchedule.beta_family()
+        m = int(math.floor(t / 2.0))
+        for j in range(m):
+            assert outcome(c_j, t, D, schedule, j) == outcome(ref_c_j, t, D, sched, j)
+        assert outcome(c_tilde, t, D, schedule) == outcome(ref_c_tilde, t, D, sched)
+        lam = [0.5 + 0.1 * j for j in range(m)]
+        for ones in (lam, [1.0] * m):
+            assert outcome(C_A, t, D, schedule, ones) == outcome(ref_C_A, t, D, sched, ones)
+            assert outcome(C_B, t, D, schedule, ones) == outcome(ref_C_B, t, D, sched, ones)
+        for A_t, B in ((2.0, 0.7), (0.0, 1.3), (5.0, 1.0)):
+            assert outcome(optimize_lambdas, t, D, schedule, A_t, B) == outcome(
+                ref_optimize_lambdas, t, D, sched, A_t, B
+            )
+        got = outcome(lambda: astuple(compute_constants(t, D, schedule, lam)))
+        want = outcome(lambda: (
+            t, D, tuple(ref_c_j(t, D, sched, j) for j in range(m)), ref_c_tilde(t, D, sched),
+            ref_C_A(t, D, sched, lam), ref_C_B(t, D, sched, lam), tuple(lam),
+        ))
+        assert got == want
+        if isinstance(got, tuple):
+            return
+        cs = compute_constants(t, D, schedule, lam)
+        assert cs.to_dict() == {
+            "t": t, "D": D, "c": list(cs.c), "c_tilde": cs.c_tilde, "C_A": cs.C_A,
+            "C_B": cs.C_B, "lambdas": lam,
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.floats(2.0, 60.0, exclude_min=True), D=st.floats(1.0, 10.0), schedule=SCHEDULES)
+    def test_public_constants_match_reference(self, t, D, schedule):
+        self.check_all(t, D, schedule)
+
+    @pytest.mark.parametrize("t", [5.5, 6.5, 9.0])
+    def test_custom_schedule_matches_reference(self, t):
+        self.check_all(t, 1.7, beta_table(t, 0.3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.floats(2.0, 60.0, exclude_min=True),
+        D=st.floats(1.0, 10.0),
+        schedule=SCHEDULES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_corollary_bound_matches_reference(self, t, D, schedule, seed):
+        prof, env = make_valid_case(np.random.default_rng(seed), t=t, max_n=6)
+        sched = schedule or PQSchedule.beta_family()
+        A_t, B = prof.total(t), env.total()
+        want = outcome(ref_corollary, t, D, sched, A_t, B)
+        try:
+            rep = corollary_bound(prof, env, D, schedule)
+        except (ArithmeticError, ValueError) as exc:
+            assert (type(exc).__name__, str(exc)) == want
+            return
+        value, ca, cb, lam = ref_corollary(t, D, sched, A_t, B)
+        assert repr((rep.value, rep.constants["C_A"], rep.constants["C_B"])) == repr(
+            (value, ca, cb)
+        )
+        assert repr(rep.parameters["lambdas"]) == repr(list(lam))
+        m = int(math.floor(t / 2.0))
+        assert repr(rep.constants["c"]) == repr([ref_c_j(t, D, sched, j) for j in range(m)])
+        assert repr(rep.constants["c_tilde"]) == repr(ref_c_tilde(t, D, sched))
+
+    @settings(max_examples=15, deadline=None)
+    @given(t=st.floats(3.0, 12.0, exclude_min=True), D=st.floats(1.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scanned_candidate_matches_reference_scan(self, t, D, seed):
+        prof, env = make_valid_case(np.random.default_rng(seed), t=t, max_n=6)
+        A_t, B = prof.total(t), env.total()
+        beta, value = grid_then_golden_minimize(
+            lambda b: ref_corollary(t, D, PQSchedule.beta_family(b), A_t, B)[0],
+            BETA_GRID, tol=1e-10,
+        )
+        scanned = _best_beta_corollary(t, D, A_t, B)
+        assert repr((scanned.value, scanned.parameters["schedule"]["beta"])) == repr(
+            (value, beta)
+        )
+        plain = corollary_bound(prof, env, D, PQSchedule.beta_family(beta))
+        assert scanned.to_dict() == plain.to_dict()
+        assert best_bound(prof, env, D).value <= scanned.value
+
+
+class TestConstantsErrors:
+    def test_exponent_above_max_t(self):
+        t = MAX_T + 0.5
+        for call in (
+            lambda: c_j(t, 1.0, None, 0),
+            lambda: c_tilde(t, 1.0),
+            lambda: C_A(t, 1.0, None, [1.0] * 30),
+            lambda: C_B(t, 1.0, None, [1.0] * 30),
+            lambda: optimize_lambdas(t, 1.0, None, 1.0, 1.0),
+            lambda: compute_constants(t, 1.0),
+        ):
+            with pytest.raises(DomainError, match="exceeds the supported maximum"):
+                call()
+
+    @pytest.mark.parametrize("j", [-1, 3, 0.5, 1.5])
+    def test_bad_layer_index(self, j):
+        with pytest.raises(DomainError, match="layer index"):
+            c_j(6.5, 1.0, None, j)
+
+    def test_lambda_underflow_is_a_validation_error(self):
+        # At D = 1e200 every c_j overflows, so the closed-form lambdas are
+        # nan and the aggregated bound must reject them, not return a value.
+        prof, env = make_valid_case(np.random.default_rng(3), t=5.0, n=3)
+        assert math.isnan(optimize_lambdas(5.0, 1e200, None, prof.total(5.0), env.total())[1])
+        with pytest.raises(ValidationError, match="balancing parameters must be finite"):
+            corollary_bound(prof, env, 1e200)
+        with pytest.raises(ValidationError, match="balancing parameters must be finite"):
+            C_A(5.0, 1e200, None, optimize_lambdas(5.0, 1e200, None, 1.0, 1.0))

@@ -189,3 +189,23 @@ class TestMomentStream:
             for blk, start, stop in iter_blocks(reps)
         ])
         assert np.array_equal(sim.increment_norms, ref)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_final_norms_match_per_block_reference(self, kind, threads):
+        # The norm stream skips the increment norms; the reference computes
+        # them, so final norms must not depend on that choice.
+        model = make_model(kind, 4, self.SCALE)
+        reps = 20000
+        sim = simulate(model, seed=15, replications=reps, threads=threads)
+        ref = np.concatenate([
+            model._simulate_block(block_generator(15, "norms", blk), stop - start, False)[0]
+            for blk, start, stop in iter_blocks(reps)
+        ])
+        assert np.array_equal(sim.final_norms, ref)
+
+    @pytest.mark.parametrize("kind", ["uniform", "two_point"])
+    def test_norm_stream_skips_increment_norms(self, kind):
+        model = make_model(kind, 4, self.SCALE)
+        s, x, _ = model._simulate_block(block_generator(16, "norms", 0), 100, False, False)
+        assert x is None and s.shape == (100,)
