@@ -8,18 +8,24 @@ balancing parameters.  Closed forms specialize the aggregation on (2, 4],
 and ``pin94_bound`` evaluates a classical comparison bound that carries an
 unspecified absolute constant K.  ``best_bound`` scans every applicable
 candidate and returns the smallest.
+
+Each closed form is one row of the private table ``_CLOSED_FORMS``: its
+t-interval, whether ``best_bound`` scans it, its leading factor and its
+formula.  One evaluator, ``_closed_form``, makes the checks every form
+shares, takes B^t as +inf where it overflows and builds the report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .constants import _aggregate, _check_t, _layer_constants
 from .core import (
+    BOUND_METHODS,
     BoundReport,
     DomainError,
     MomentProfile,
@@ -51,19 +57,6 @@ __all__ = [
 
 # Fixed scan grid for the schedule parameter: 33 log-spaced points.
 BETA_GRID: tuple[float, ...] = tuple(np.geomspace(0.02, 0.98, 33))
-
-# Tie-break preference when candidate bounds coincide exactly.
-_METHOD_PRIORITY = {
-    "theorem": 0,
-    "t3": 1,
-    "closed_2_3": 2,
-    "closed_3_4": 3,
-    "closed_min": 4,
-    "hilbert_2_4": 5,
-    "corollary": 6,
-    "pin94": 7,
-}
-
 
 def _check_pair(profile: MomentProfile, envelope: VarianceEnvelope) -> None:
     if profile.n != envelope.n:
@@ -122,7 +115,8 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, ratio_r) -> Boun
     value = 0.0
     for j, (c, g) in enumerate(zip(layer_constants + [top_constant], prefix)):
         _check_finite_nonneg("prefix values", g)
-        value += c * _layer_sum(g, w, table, j)
+        layer = _layer_sum(g, w, table, j)  # an empty layer adds 0, even under c = inf
+        value += c * layer if layer else 0.0
 
     return BoundReport(
         value=value,
@@ -168,44 +162,98 @@ def _aggregated(
     )
 
 
-def closed_form_2_3(t: float, D, A_t: float, B: float) -> BoundReport:
-    """((t-2+D^2)/(t-1)) * (A + (t-1) B^t)  for t in (2, 3]."""
-    if not 2.0 < t <= 3.0:
-        raise DomainError(f"this closed form needs t in (2, 3], got t={t}")
+def _pow_inf(x: float, y: float) -> float:
+    """x ** y, or +inf where the power exceeds the float range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _smooth_front(t, D):
+    return (t - 2 + D * D) / (t - 1)
+
+
+def _hilbert_front(t, D):
+    return 2.0 ** max(0.0, t - 3.0)
+
+
+def _two_term(front, t, A_t, B, Bt):
+    return front * (A_t + (t - 1) * Bt), {"C_A": front, "C_B": front * (t - 1)}
+
+
+def _split(front, t, A_t, B, Bt, alpha):
+    return front * (A_t / alpha ** (t - 3) + (t - 1) * Bt / (1 - alpha) ** (t - 3)), {
+        "C_A": front / alpha ** (t - 3),
+        "C_B": front * (t - 1) / (1 - alpha) ** (t - 3),
+    }
+
+
+def _split_min(front, t, A_t, B, Bt):
+    s = max(1.0, t - 2.0)
+    core = A_t ** (1.0 / s) + (t - 1) ** (1.0 / s) * _pow_inf(B, t / s)
+    return front * _pow_inf(core, s), {"front": front, "s_t": s}
+
+
+class _ClosedForm(NamedTuple):
+    interval: str  # the t-interval, "(lo, hi]" or "[lo, hi]"
+    scanned: bool  # a best_bound candidate; at D = 1 only, with hilbert
+    hilbert: bool  # holds in the Hilbert case D = 1 only
+    front: Callable[[float, float], float]  # (t, D) -> the leading factor
+    formula: Callable[..., tuple[float, dict]]  # (front, t, A_t, B, B^t, **params)
+
+    def covers(self, t) -> bool:
+        lo, hi = (float(x) for x in self.interval[1:-1].split(","))
+        return (lo <= t if self.interval[0] == "[" else lo < t) and t <= hi
+
+
+# The closed forms, in the order of BOUND_METHODS.  t3 is closed_2_3 at
+# t = 3 and closed_3_4 needs its split point, so best_bound scans neither.
+_CLOSED_FORMS = {
+    "t3": _ClosedForm("[3, 3]", False, False, _smooth_front, _two_term),
+    "closed_2_3": _ClosedForm("(2, 3]", True, False, _smooth_front, _two_term),
+    "closed_3_4": _ClosedForm("[3, 4]", False, False, _smooth_front, _split),
+    "closed_min": _ClosedForm("(2, 4]", True, False, _smooth_front, _split_min),
+    "hilbert_2_4": _ClosedForm("(2, 4]", True, True, _hilbert_front, _two_term),
+}
+
+
+def _check_interval(name: str, t) -> _ClosedForm:
+    form = _CLOSED_FORMS[name]
+    if not form.covers(t):
+        raise DomainError(f"this closed form needs t in {form.interval}, got t={t}")
+    return form
+
+
+def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> BoundReport:
+    """The report of one closed form; ``params`` go to its formula and, as
+    floats, into the report's parameters.  B^t is +inf where it overflows."""
+    form = _check_interval(name, t)
     D = smoothness_value(D)
-    A_t = _check_nonneg("A_t", A_t)
+    A_t = _check_nonneg(a_name, A_t)
     B = _check_nonneg("B", B)
-    front = (t - 2 + D * D) / (t - 1)
+    value, constants = form.formula(form.front(t, D), t, A_t, B, _pow_inf(B, t), **params)
     return BoundReport(
-        value=front * (A_t + (t - 1) * B**t),
-        method="closed_2_3",
-        constants={"C_A": front, "C_B": front * (t - 1)},
-        parameters={},
+        value=value,
+        method=name,
+        constants=constants,
+        parameters={k: float(v) for k, v in params.items()},
         ratio_r=_ratio_scalar(t, A_t, B),
     )
+
+
+def closed_form_2_3(t: float, D, A_t: float, B: float) -> BoundReport:
+    """((t-2+D^2)/(t-1)) * (A + (t-1) B^t)  for t in (2, 3]."""
+    return _closed_form("closed_2_3", t, D, A_t, B)
 
 
 def closed_form_3_4(t: float, D, A_t: float, B: float, alpha: float) -> BoundReport:
     """((t-2+D^2)/(t-1)) * (A / alpha^(t-3) + (t-1) B^t / (1-alpha)^(t-3))
     for t in [3, 4] and alpha in (0, 1)."""
-    if not 3.0 <= t <= 4.0:
-        raise DomainError(f"this closed form needs t in [3, 4], got t={t}")
+    _check_interval("closed_3_4", t)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    D = smoothness_value(D)
-    A_t = _check_nonneg("A_t", A_t)
-    B = _check_nonneg("B", B)
-    front = (t - 2 + D * D) / (t - 1)
-    return BoundReport(
-        value=front * (A_t / alpha ** (t - 3) + (t - 1) * B**t / (1 - alpha) ** (t - 3)),
-        method="closed_3_4",
-        constants={
-            "C_A": front / alpha ** (t - 3),
-            "C_B": front * (t - 1) / (1 - alpha) ** (t - 3),
-        },
-        parameters={"alpha": float(alpha)},
-        ratio_r=_ratio_scalar(t, A_t, B),
-    )
+    return _closed_form("closed_3_4", t, D, A_t, B, alpha=alpha)
 
 
 def closed_form_min(t: float, D, A_t: float, B: float) -> BoundReport:
@@ -213,52 +261,17 @@ def closed_form_min(t: float, D, A_t: float, B: float) -> BoundReport:
 
     ((t-2+D^2)/(t-1)) * [A^(1/s) + (t-1)^(1/s) B^(t/s)]^s,  s = max(1, t-2).
     """
-    if not 2.0 < t <= 4.0:
-        raise DomainError(f"this closed form needs t in (2, 4], got t={t}")
-    D = smoothness_value(D)
-    A_t = _check_nonneg("A_t", A_t)
-    B = _check_nonneg("B", B)
-    s = max(1.0, t - 2.0)
-    front = (t - 2 + D * D) / (t - 1)
-    core = A_t ** (1.0 / s) + (t - 1) ** (1.0 / s) * B ** (t / s)
-    return BoundReport(
-        value=front * core**s,
-        method="closed_min",
-        constants={"front": front, "s_t": s},
-        parameters={},
-        ratio_r=_ratio_scalar(t, A_t, B),
-    )
+    return _closed_form("closed_min", t, D, A_t, B)
 
 
 def hilbert_2_4(t: float, A_t: float, B: float) -> BoundReport:
     """2^((t-3)_+) * (A + (t-1) B^t) for t in (2, 4]; Hilbert case D = 1."""
-    if not 2.0 < t <= 4.0:
-        raise DomainError(f"this closed form needs t in (2, 4], got t={t}")
-    A_t = _check_nonneg("A_t", A_t)
-    B = _check_nonneg("B", B)
-    front = 2.0 ** max(0.0, t - 3.0)
-    return BoundReport(
-        value=front * (A_t + (t - 1) * B**t),
-        method="hilbert_2_4",
-        constants={"C_A": front, "C_B": front * (t - 1)},
-        parameters={},
-        ratio_r=_ratio_scalar(t, A_t, B),
-    )
+    return _closed_form("hilbert_2_4", t, 1.0, A_t, B)
 
 
 def t3_bound(D, A_3: float, B: float) -> BoundReport:
     """The t = 3 specialization ((1+D^2)/2) * (A_n(3) + 2 B_n^3)."""
-    D = smoothness_value(D)
-    A_3 = _check_nonneg("A_3", A_3)
-    B = _check_nonneg("B", B)
-    front = (1 + D * D) / 2.0
-    return BoundReport(
-        value=front * (A_3 + 2.0 * B**3),
-        method="t3",
-        constants={"C_A": front, "C_B": 2.0 * front},
-        parameters={},
-        ratio_r=_ratio_scalar(3.0, A_3, B),
-    )
+    return _closed_form("t3", 3.0, D, A_3, B, a_name="A_3")
 
 
 @dataclass(frozen=True)
@@ -347,10 +360,12 @@ def best_bound(
     Candidates: the layered bound, the aggregated bound with optimized
     balancing parameters (with a schedule-parameter scan on top when the
     schedule weights matter, i.e. t > 3), the closed forms on (2, 4], and
-    optionally the comparison bound.  Exact value ties prefer the layered
-    bound, then closed forms, then the aggregation.  A_n(t) and B_n are
-    summed once for every candidate; the scan evaluates only the value at
-    each beta and builds one report, at the winning beta.
+    optionally the comparison bound.  The closed forms are the scanned rows
+    of ``_CLOSED_FORMS`` whose interval holds t.  Exact value ties go to the
+    method listed first in ``BOUND_METHODS``: the layered bound, then closed
+    forms, then the aggregation.  A_n(t) and B_n are summed once for every
+    candidate; the scan evaluates only the value at each beta and builds
+    one report, at the winning beta.
     """
     t = profile.t
     if t <= 2.0:
@@ -367,12 +382,11 @@ def best_bound(
     ]
     if t > 3.0:
         candidates.append(_best_beta_corollary(t, D, A_t, B))
-    if 2.0 < t <= 3.0:
-        candidates.append(closed_form_2_3(t, D, A_t, B))
-    if 2.0 < t <= 4.0:
-        candidates.append(closed_form_min(t, D, A_t, B))
-        if D == 1.0:
-            candidates.append(hilbert_2_4(t, A_t, B))
+    candidates += [
+        _closed_form(name, t, D, A_t, B)
+        for name, form in _CLOSED_FORMS.items()
+        if form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert)
+    ]
     if pin94 is not None:
         candidates.append(pin94_bound(t, D, A_t, B, pin94))
-    return min(candidates, key=lambda r: (r.value, _METHOD_PRIORITY[r.method]))
+    return min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))

@@ -109,25 +109,28 @@ def _load_case(path: str) -> tuple[MomentProfile, VarianceEnvelope, float, PQSch
     return profile, envelope, D, schedule
 
 
+def _scalars(case) -> tuple[float, float, float, float]:
+    """(t, D, A_n(t), B_n) of a loaded case."""
+    profile, envelope, D, _ = case
+    return profile.t, D, profile.total(profile.t), envelope.total()
+
+
+# The --method choices of ``rosenthal bound`` and the call each one makes on
+# (args, (profile, envelope, D, schedule)).
+_BOUND_CALLS = {
+    "best": lambda args, case: best_bound(*case),
+    "theorem": lambda args, case: theorem_bound(*case),
+    "corollary": lambda args, case: corollary_bound(*case, lambdas="optimize"),
+    "closed": lambda args, case: closed_form_min(*_scalars(case)),
+    "pin94": lambda args, case: pin94_bound(*_scalars(case), Pin94Config(K=args.K, c=args.c)),
+}
+
+
 def _cmd_bound(args) -> int:
-    profile, envelope, D, schedule = _load_case(args.input)
+    case = _load_case(args.input)
     if args.beta is not None:
-        schedule = PQSchedule.beta_family(args.beta)
-    if args.method == "theorem":
-        report = theorem_bound(profile, envelope, D, schedule)
-    elif args.method == "corollary":
-        report = corollary_bound(profile, envelope, D, schedule, lambdas="optimize")
-    elif args.method == "closed":
-        report = closed_form_min(
-            profile.t, D, profile.total(profile.t), envelope.total()
-        )
-    elif args.method == "pin94":
-        config = Pin94Config(K=args.K, c=args.c)
-        report = pin94_bound(
-            profile.t, D, profile.total(profile.t), envelope.total(), config
-        )
-    else:
-        report = best_bound(profile, envelope, D, schedule)
+        case = (*case[:3], PQSchedule.beta_family(args.beta))
+    report = _BOUND_CALLS[args.method](args, case)
     _write_report(report.to_dict(), args.output, args.format)
     return 0
 
@@ -204,11 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate bounds on a JSON case file")
     p_bound.add_argument("--input", required=True, help="JSON case file")
-    p_bound.add_argument(
-        "--method",
-        choices=["best", "theorem", "corollary", "closed", "pin94"],
-        default="best",
-    )
+    p_bound.add_argument("--method", choices=list(_BOUND_CALLS), default="best")
     p_bound.add_argument("--beta", type=float, default=None, help="schedule parameter")
     p_bound.add_argument("--K", type=float, default=120.0, help="pin94 constant")
     p_bound.add_argument(

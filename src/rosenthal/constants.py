@@ -109,14 +109,19 @@ def _check_aggregated_t(t: float) -> float:
 
 
 def _coefficients(t: float, c, top: float, lam) -> tuple[float, float]:
-    """(C_A, C_B) from the layer constants, c~_m and the balancing parameters."""
+    """(C_A, C_B) from the layer constants, c~_m and the balancing parameters.
+    A term with a zero coefficient (t-2j-2 or 2j) adds nothing, even when c_j
+    is +inf; a C_A term whose lambda_j^{2j} j! underflows to 0 is +inf."""
     m = len(c)
     ca, cb = 0.0, top
     for j in range(1, m + 1):
         cb /= t / 2.0 - m + j
     for j, cj in enumerate(c):
-        ca += cj * (t - 2 * j - 2) / (t - 2) / (lam[j] ** (2 * j) * math.factorial(j))
-        cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
+        if t - 2 * j - 2 != 0.0:
+            den = lam[j] ** (2 * j) * math.factorial(j)
+            ca += cj * (t - 2 * j - 2) / (t - 2) / den if den else math.inf
+        if j:
+            cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
     return ca, cb
 
 

@@ -301,15 +301,9 @@ class VarianceEnvelope:
         np.cumsum(self.b * self.b, out=out[1:])
         return np.sqrt(out)
 
-    def cumulative(self, k: int) -> float:
-        """B_k."""
-        if int(k) != k or not 0 <= k <= self.n:
-            raise DomainError(f"index k must lie in 0..{self.n}, got {k}")
-        return float(math.sqrt(float(np.sum(self.b[: int(k)] ** 2))))
-
     def total(self) -> float:
         """B_n."""
-        return self.cumulative(self.n)
+        return math.sqrt(float(np.sum(self.b**2)))
 
     def to_dict(self) -> dict:
         return {"b": [float(v) for v in self.b]}
@@ -322,14 +316,15 @@ class VarianceEnvelope:
         return f"VarianceEnvelope(n={self.n}, B_n={self.total():.6g})"
 
 
+# Every bound method, in the order best_bound prefers on an exact tie.
 BOUND_METHODS = (
     "theorem",
-    "corollary",
+    "t3",
     "closed_2_3",
     "closed_3_4",
     "closed_min",
     "hilbert_2_4",
-    "t3",
+    "corollary",
     "pin94",
 )
 

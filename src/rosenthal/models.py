@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .checks import HilbertSpace, LpSpace
 from .core import MomentProfile, ValidationError, VarianceEnvelope, required_exponents
 from .rng import block_generator, iter_blocks, worker_count
 
@@ -175,35 +176,42 @@ class TwoPointModel(MartingaleModel):
         return {**super().describe(), "prob": self.prob}
 
 
-class HilbertModel(MartingaleModel):
+class _SphereModel(MartingaleModel):
+    """Steps b_i * V_i with V_i = G / ||G|| for a standard Gaussian G in the
+    subclass's ``space`` (a ``checks`` space of dimension ``dim``)."""
+
+    @property
+    def smoothness(self) -> float:
+        return self.space.smoothness
+
+    def _simulate_block(self, gen, size, keep_final, increments=True):
+        g = gen.standard_normal((size, self.n, self.dim))
+        nrm = self.space.norm(g)
+        nrm[nrm == 0.0] = 1.0
+        x = g / nrm[..., None] * self.scale[None, :, None]
+        s = x.sum(axis=1)
+        xnorm = np.broadcast_to(self.scale, (size, self.n))
+        return self.space.norm(s), xnorm, (s if keep_final else None)
+
+    def _moment(self, s):
+        return self.scale**s
+
+
+class HilbertModel(_SphereModel):
     """Steps b_i * V_i with V_i uniform on the Euclidean unit sphere."""
 
     kind = "hilbert"
 
     def __init__(self, n: int, scale=1.0, dim: int = 3) -> None:
         super().__init__(n, scale)
-        if int(dim) != dim or dim < 1:
-            raise ValidationError(f"dimension must be an integer >= 1, got {dim}")
+        self.space = HilbertSpace(dim)
         self.dim = int(dim)
-
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        g = gen.standard_normal((size, self.n, self.dim))
-        nrm = np.sqrt((g * g).sum(axis=2))
-        nrm[nrm == 0.0] = 1.0
-        x = g / nrm[..., None] * self.scale[None, :, None]
-        s = x.sum(axis=1)
-        snorm = np.sqrt((s * s).sum(axis=1))
-        xnorm = np.broadcast_to(self.scale, (size, self.n))
-        return snorm, xnorm, (s if keep_final else None)
-
-    def _moment(self, s):
-        return self.scale**s
 
     def describe(self) -> dict:
         return {**super().describe(), "dim": self.dim}
 
 
-class LpModel(MartingaleModel):
+class LpModel(_SphereModel):
     """Steps b_i * V_i with V_i a symmetric unit vector of l_p norm (p >= 2).
 
     The ambient space is l_p^d with smoothness constant sqrt(p - 1).
@@ -213,31 +221,9 @@ class LpModel(MartingaleModel):
 
     def __init__(self, n: int, scale=1.0, p: float = 3.0, dim: int = 8) -> None:
         super().__init__(n, scale)
-        if not (math.isfinite(p) and p >= 2.0):
-            raise ValidationError(f"l_p exponent must satisfy p >= 2, got {p}")
-        if int(dim) != dim or dim < 1:
-            raise ValidationError(f"dimension must be an integer >= 1, got {dim}")
+        self.space = LpSpace(p, dim)
         self.p = float(p)
         self.dim = int(dim)
-
-    @property
-    def smoothness(self) -> float:
-        return math.sqrt(self.p - 1.0)
-
-    def _lp_norm(self, v: np.ndarray) -> np.ndarray:
-        return (np.abs(v) ** self.p).sum(axis=-1) ** (1.0 / self.p)
-
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        g = gen.standard_normal((size, self.n, self.dim))
-        nrm = self._lp_norm(g)
-        nrm[nrm == 0.0] = 1.0
-        x = g / nrm[..., None] * self.scale[None, :, None]
-        s = x.sum(axis=1)
-        xnorm = np.broadcast_to(self.scale, (size, self.n))
-        return self._lp_norm(s), xnorm, (s if keep_final else None)
-
-    def _moment(self, s):
-        return self.scale**s
 
     def describe(self) -> dict:
         return {**super().describe(), "p": self.p, "dim": self.dim}

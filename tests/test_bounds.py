@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosenthal import (
+    BoundReport,
     DomainError,
     MinGroupedSumSpec,
     MomentProfile,
@@ -28,7 +29,8 @@ from rosenthal import (
     theorem_bound,
 )
 from rosenthal.bounds import _best_beta_corollary
-from rosenthal.core import pow00, required_exponents
+from rosenthal.cli import build_parser
+from rosenthal.core import _ratio_scalar, pow00, required_exponents, smoothness_value
 
 
 def case(t, a_by_s, b):
@@ -358,3 +360,170 @@ def test_theorem_matches_brute_force_layers(case_):
         for j, (c, g) in enumerate(zip(consts, prefix))
     )
     assert theorem_bound(prof, env, D).value == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+class TestClosedFormOverflow:
+    """B^t beyond the float range gives +inf, never a bare OverflowError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda B: closed_form_2_3(3.0, 1.0, 1.0, B),
+            lambda B: closed_form_3_4(3.5, 1.5, 1.0, B, 0.5),
+            lambda B: closed_form_min(3.0, 1.0, 1.0, B),  # B^(t/s) overflows
+            lambda B: closed_form_min(4.0, 1.0, 1.0, B),  # core^s overflows
+            lambda B: hilbert_2_4(3.0, 1.0, B),
+            lambda B: t3_bound(1.0, 1.0, B),
+        ],
+        ids=["closed_2_3", "closed_3_4", "closed_min_power", "closed_min_core", "hilbert_2_4",
+             "t3"],
+    )
+    def test_huge_envelope_is_inf(self, call):
+        rep = call(1e120)
+        assert rep.value == math.inf
+        assert rep.ratio_r is None
+        assert call(1.0).value < math.inf
+
+
+# Reference: the closed forms as separate functions, each with its own checks,
+# and best_bound's candidate list and tie-break dict, as they read before the
+# closed forms became one table.
+
+
+def ref_nonneg(name, x):
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValidationError(f"{name} must be finite and >= 0, got {x}")
+    return x
+
+
+def ref_closed_2_3(t, D, A_t, B):
+    if not 2.0 < t <= 3.0:
+        raise DomainError(f"this closed form needs t in (2, 3], got t={t}")
+    D = smoothness_value(D)
+    A_t = ref_nonneg("A_t", A_t)
+    B = ref_nonneg("B", B)
+    front = (t - 2 + D * D) / (t - 1)
+    return BoundReport(front * (A_t + (t - 1) * B**t), "closed_2_3",
+                       {"C_A": front, "C_B": front * (t - 1)}, {}, _ratio_scalar(t, A_t, B))
+
+
+def ref_closed_3_4(t, D, A_t, B, alpha):
+    if not 3.0 <= t <= 4.0:
+        raise DomainError(f"this closed form needs t in [3, 4], got t={t}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    D = smoothness_value(D)
+    A_t = ref_nonneg("A_t", A_t)
+    B = ref_nonneg("B", B)
+    front = (t - 2 + D * D) / (t - 1)
+    return BoundReport(
+        front * (A_t / alpha ** (t - 3) + (t - 1) * B**t / (1 - alpha) ** (t - 3)),
+        "closed_3_4",
+        {"C_A": front / alpha ** (t - 3), "C_B": front * (t - 1) / (1 - alpha) ** (t - 3)},
+        {"alpha": float(alpha)},
+        _ratio_scalar(t, A_t, B),
+    )
+
+
+def ref_closed_min(t, D, A_t, B):
+    if not 2.0 < t <= 4.0:
+        raise DomainError(f"this closed form needs t in (2, 4], got t={t}")
+    D = smoothness_value(D)
+    A_t = ref_nonneg("A_t", A_t)
+    B = ref_nonneg("B", B)
+    s = max(1.0, t - 2.0)
+    front = (t - 2 + D * D) / (t - 1)
+    core = A_t ** (1.0 / s) + (t - 1) ** (1.0 / s) * B ** (t / s)
+    return BoundReport(front * core**s, "closed_min", {"front": front, "s_t": s}, {},
+                       _ratio_scalar(t, A_t, B))
+
+
+def ref_hilbert_2_4(t, A_t, B):
+    if not 2.0 < t <= 4.0:
+        raise DomainError(f"this closed form needs t in (2, 4], got t={t}")
+    A_t = ref_nonneg("A_t", A_t)
+    B = ref_nonneg("B", B)
+    front = 2.0 ** max(0.0, t - 3.0)
+    return BoundReport(front * (A_t + (t - 1) * B**t), "hilbert_2_4",
+                       {"C_A": front, "C_B": front * (t - 1)}, {}, _ratio_scalar(t, A_t, B))
+
+
+def ref_t3(D, A_3, B):
+    D = smoothness_value(D)
+    A_3 = ref_nonneg("A_3", A_3)
+    B = ref_nonneg("B", B)
+    front = (1 + D * D) / 2.0
+    return BoundReport(front * (A_3 + 2.0 * B**3), "t3", {"C_A": front, "C_B": 2.0 * front},
+                       {}, _ratio_scalar(3.0, A_3, B))
+
+
+REF_PRIORITY = {
+    "theorem": 0, "t3": 1, "closed_2_3": 2, "closed_3_4": 3, "closed_min": 4,
+    "hilbert_2_4": 5, "corollary": 6, "pin94": 7,
+}
+
+
+def ref_best(prof, env, D, pin94=None):
+    t = prof.t
+    A_t, B = prof.total(t), env.total()
+    candidates = [theorem_bound(prof, env, D), corollary_bound(prof, env, D)]
+    if t > 3.0:
+        candidates.append(_best_beta_corollary(t, D, A_t, B))
+    if 2.0 < t <= 3.0:
+        candidates.append(ref_closed_2_3(t, D, A_t, B))
+    if 2.0 < t <= 4.0:
+        candidates.append(ref_closed_min(t, D, A_t, B))
+        if D == 1.0:
+            candidates.append(ref_hilbert_2_4(t, A_t, B))
+    if pin94 is not None:
+        candidates.append(pin94_bound(t, D, A_t, B, pin94))
+    return min(candidates, key=lambda r: (r.value, REF_PRIORITY[r.method]))
+
+
+def report_outcome(call):
+    """The report's to_dict() repr (exact for floats) or the error raised."""
+    try:
+        return repr(call().to_dict())
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestClosedFormTable:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        t=st.one_of(st.sampled_from([2.0, 3.0, 4.0]), st.floats(1.9, 4.3)),
+        D=st.floats(1.0, 10.0),
+        A=st.floats(0.0, 5.0),
+        B=st.floats(0.0, 5.0),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.1, 1.1)),
+    )
+    def test_public_forms_match_reference(self, t, D, A, B, alpha):
+        pairs = [
+            (lambda: closed_form_2_3(t, D, A, B), lambda: ref_closed_2_3(t, D, A, B)),
+            (lambda: closed_form_3_4(t, D, A, B, alpha),
+             lambda: ref_closed_3_4(t, D, A, B, alpha)),
+            (lambda: closed_form_min(t, D, A, B), lambda: ref_closed_min(t, D, A, B)),
+            (lambda: hilbert_2_4(t, A, B), lambda: ref_hilbert_2_4(t, A, B)),
+            (lambda: t3_bound(D, A, B), lambda: ref_t3(D, A, B)),
+        ]
+        for got, want in pairs:
+            assert report_outcome(got) == report_outcome(want)
+
+    @pytest.mark.parametrize("t", [2.5, 3.0, 3.5, 4.0, 4.5, 7.0])
+    @pytest.mark.parametrize("D", [1.0, 2.0])
+    def test_best_bound_matches_reference(self, t, D):
+        rng = np.random.default_rng(int(10 * t + D))
+        cases = [make_valid_case(rng, t=t, max_n=8) for _ in range(3)]
+        # Huge second moments make the layered bound lose to exact ties.
+        cases.append(case(t, {s: [0.0, 0.0] if s != 2.0 else [100.0, 100.0]
+                              for s in required_exponents(t)}, [1.0, 1.0]))
+        for prof, env in cases:
+            for pin94 in (None, Pin94Config(), Pin94Config(K=0.05)):
+                got = best_bound(prof, env, D, pin94=pin94).to_dict()
+                assert repr(got) == repr(ref_best(prof, env, D, pin94).to_dict())
+
+    def test_cli_offers_five_methods(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        method = next(a for a in sub.choices["bound"]._actions if a.dest == "method")
+        assert list(method.choices) == ["best", "theorem", "corollary", "closed", "pin94"]

@@ -46,6 +46,13 @@ class TestBoundCommand:
             assert code == 0
             assert json.loads(out)["value"] == pytest.approx(value, rel=1e-11)
 
+    def test_closed_means_closed_min(self, sharp_case_file, capsys):
+        code, out, _ = run_main(
+            ["bound", "--input", sharp_case_file, "--method", "closed"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["method"] == "closed_min"
+
     def test_pin94_method(self, sharp_case_file, capsys):
         code, out, _ = run_main(
             ["bound", "--input", sharp_case_file, "--method", "pin94", "--K", "120"],

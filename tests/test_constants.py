@@ -19,9 +19,11 @@ from rosenthal import (
     compute_constants,
     corollary_bound,
     optimize_lambdas,
+    theorem_bound,
 )
 from rosenthal.bounds import BETA_GRID, _best_beta_corollary
 from rosenthal.constants import MAX_T
+from rosenthal.core import MomentProfile, VarianceEnvelope, required_exponents
 from rosenthal.optimize import grid_then_golden_minimize
 from rosenthal.schedules import pq_eval
 
@@ -142,7 +144,9 @@ class TestOptimizeLambdas:
 
 
 # Reference: the constants in their per-function form, each c_j rebuilt from
-# its own product, as the definitions in the module docstring read.
+# its own product, as the definitions in the module docstring read.  A term
+# with a zero coefficient (t-2j-2 in C_A, 2j in C_B) is left out, so an
+# overflowed c_j never turns 0 * inf into NaN.
 
 
 def ref_c_j(t, D, schedule, j):
@@ -165,6 +169,8 @@ def ref_c_tilde(t, D, schedule):
 def ref_C_A(t, D, schedule, lam):
     total = 0.0
     for j in range(len(lam)):
+        if t - 2 * j - 2 == 0.0:
+            continue
         total += (
             ref_c_j(t, D, schedule, j) * (t - 2 * j - 2) / (t - 2)
             / (lam[j] ** (2 * j) * math.factorial(j))
@@ -178,7 +184,7 @@ def ref_C_B(t, D, schedule, lam):
     for j in range(1, m + 1):
         lead /= t / 2.0 - m + j
     total = lead
-    for j in range(m):
+    for j in range(1, m):
         total += (
             ref_c_j(t, D, schedule, j) * (2 * j) / (t - 2)
             * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
@@ -344,3 +350,34 @@ class TestConstantsErrors:
             corollary_bound(prof, env, 1e200)
         with pytest.raises(ValidationError, match="balancing parameters must be finite"):
             C_A(5.0, 1e200, None, optimize_lambdas(5.0, 1e200, None, 1.0, 1.0))
+
+
+class TestNoZeroTimesInf:
+    """Overflowed layer constants never meet a zero factor as NaN."""
+
+    @pytest.mark.parametrize("D", [1.0, 1e150, 1e200, 1e300])
+    def test_constants_never_nan(self, D):
+        for t in np.linspace(2.02, MAX_T, 300):
+            cs = compute_constants(float(t), D)
+            values = [*cs.c, cs.c_tilde, cs.C_A, cs.C_B]
+            assert not any(math.isnan(v) for v in values), t
+            assert cs.C_A > 0.0 and cs.C_B > 0.0
+
+    def test_overflowed_constants_are_inf(self):
+        # c_0 = inf at D = 1e200; its C_B coefficient 2j is 0 for j = 0.
+        cs = compute_constants(3.0, 1e200)
+        assert (cs.C_A, cs.C_B) == (math.inf, math.inf)
+        # At t = 60 the last layer's C_A coefficient t-2j-2 is 0 and c_29 = inf.
+        assert C_A(MAX_T, 1.0, None, [1.0] * 30) == math.inf
+
+    def test_underflowed_lambda_power_is_inf(self):
+        # lambda_1^2 underflows to 0: the C_A term is +inf, not ZeroDivisionError.
+        assert C_A(5.0, 1.0, None, [1.0, 1e-200]) == math.inf
+        assert C_B(5.0, 1.0, None, [1.0, 1e-200]) < math.inf
+
+    def test_theorem_bound_at_max_t(self):
+        # c~_30 = inf meets an empty top layer (j = 30 > n = 3).
+        t = MAX_T
+        prof = MomentProfile(3, t, {s: [1.0] * 3 for s in required_exponents(t)})
+        value = theorem_bound(prof, VarianceEnvelope([1.0] * 3), 1.0).value
+        assert 1e56 < value < 1e57

@@ -55,17 +55,17 @@ class TestPartialMomentSum:
 
 class TestCumulativeB:
     def test_three_four_five(self):
-        assert VarianceEnvelope([3, 4]).cumulative(2) == pytest.approx(5.0, abs=1e-15)
+        env = VarianceEnvelope([3, 4])
+        assert env.cumulative_array()[2] == pytest.approx(5.0, abs=1e-15)
+        assert env.total() == pytest.approx(5.0, abs=1e-15)
 
     def test_empty_prefix(self):
-        assert VarianceEnvelope([1]).cumulative(0) == 0.0
+        assert VarianceEnvelope([1]).cumulative_array()[0] == 0.0
 
     def test_four_ones(self):
-        assert VarianceEnvelope([1, 1, 1, 1]).cumulative(4) == pytest.approx(2.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            VarianceEnvelope([1]).cumulative(2)
+        env = VarianceEnvelope([1, 1, 1, 1])
+        assert env.cumulative_array()[4] == pytest.approx(2.0)
+        assert env.total() == pytest.approx(2.0)
 
     def test_cumulative_array_monotone(self):
         env = VarianceEnvelope(np.random.default_rng(1).uniform(0.1, 2, size=20))

@@ -38,6 +38,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             RademacherModel(3, scale=[1.0, 1.0])  # wrong length
 
+    def test_sphere_models_keep_attributes_and_messages(self):
+        h, lp = HilbertModel(4, dim=3.0), LpModel(4, p=3, dim=8.0)
+        assert (type(h.dim), h.smoothness, h.describe()["dim"]) == (int, 1.0, 3)
+        assert (lp.p, lp.dim, lp.smoothness) == (3.0, 8, math.sqrt(2.0))
+        assert {"p": 3.0, "dim": 8}.items() <= lp.describe().items()
+        with pytest.raises(ValidationError, match=r"dimension must be an integer >= 1, got 0"):
+            HilbertModel(5, dim=0)
+        with pytest.raises(ValidationError, match=r"l_p exponent must satisfy p >= 2, got 1.5"):
+            LpModel(5, p=1.5, dim=0)
+        with pytest.raises(ValidationError, match=r"dimension must be an integer >= 1, got 2.5"):
+            LpModel(5, dim=2.5)
+
     def test_replications_guard(self):
         with pytest.raises(ValidationError):
             simulate(RademacherModel(1), seed=0, replications=0)
@@ -203,6 +215,29 @@ class TestMomentStream:
             for blk, start, stop in iter_blocks(reps)
         ])
         assert np.array_equal(sim.final_norms, ref)
+
+    @pytest.mark.parametrize("keep_final", [False, True])
+    @pytest.mark.parametrize(
+        "model, norm",
+        [
+            (HilbertModel(4, SCALE, dim=3), lambda v: np.sqrt((v * v).sum(axis=-1))),
+            (LpModel(4, SCALE, p=3.0, dim=8),
+             lambda v: (np.abs(v) ** 3.0).sum(axis=-1) ** (1.0 / 3.0)),
+        ],
+        ids=["hilbert", "lp"],
+    )
+    def test_sphere_block_matches_inline_reference(self, model, norm, keep_final):
+        s, x, f = model._simulate_block(block_generator(17, "norms", 0), 500, keep_final)
+        g = block_generator(17, "norms", 0).standard_normal((500, 4, model.dim))
+        nrm = norm(g)
+        nrm[nrm == 0.0] = 1.0
+        ref = (g / nrm[..., None] * model.scale[None, :, None]).sum(axis=1)
+        assert np.array_equal(s, norm(ref))
+        assert np.array_equal(x, np.broadcast_to(model.scale, (500, 4)))
+        if keep_final:
+            assert np.array_equal(f, ref)
+        else:
+            assert f is None
 
     @pytest.mark.parametrize("kind", ["uniform", "two_point"])
     def test_norm_stream_skips_increment_norms(self, kind):
