@@ -69,8 +69,9 @@ class LpSpace:
         return math.sqrt(self.p - 1.0)
 
     def norm(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return (np.abs(v) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        a = np.abs(np.asarray(v, dtype=float))
+        a **= self.p
+        return a.sum(axis=-1) ** (1.0 / self.p)
 
     def norm_sq_derivative(self, x, y) -> np.ndarray:
         """2 ||x||_p^(2-p) sum_k |x_k|^(p-1) sgn(x_k) y_k, and 0 at x = 0."""

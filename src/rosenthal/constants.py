@@ -111,17 +111,44 @@ def _check_aggregated_t(t: float) -> float:
 def _coefficients(t: float, c, top: float, lam) -> tuple[float, float]:
     """(C_A, C_B) from the layer constants, c~_m and the balancing parameters.
     A term with a zero coefficient (t-2j-2 or 2j) adds nothing, even when c_j
-    is +inf; a C_A term whose lambda_j^{2j} j! underflows to 0 is +inf."""
+    is +inf; a C_A term whose lambda_j^{2j} j! underflows to 0 is +inf.
+
+    Raises ValidationError naming lambda_j when a power of lambda_j
+    overflows, or when it leaves the float range against c_j = +inf, which
+    would make a coefficient NaN.
+    """
     m = len(c)
     ca, cb = 0.0, top
     for j in range(1, m + 1):
         cb /= t / 2.0 - m + j
-    for j, cj in enumerate(c):
-        if t - 2 * j - 2 != 0.0:
-            den = lam[j] ** (2 * j) * math.factorial(j)
-            ca += cj * (t - 2 * j - 2) / (t - 2) / den if den else math.inf
-        if j:
-            cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
+    try:
+        for j, cj in enumerate(c):
+            if t - 2 * j - 2 != 0.0:
+                den = lam[j] ** (2 * j) * math.factorial(j)
+                ca += cj * (t - 2 * j - 2) / (t - 2) / den if den else math.inf
+            if j:
+                cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
+    except OverflowError:
+        raise ValidationError(
+            f"balancing parameter lambda_{j} = {lam[j]!r} overflows its power"
+        ) from None
+    total = ca + cb
+    if total != total:
+        # Both sums are >= 0, so their sum is NaN only if one of them is.
+        # Every c_j lies in (0, +inf], so a NaN is inf * 0 or inf / inf: the
+        # first layer with c_j = +inf whose power of lambda_j is 0 or +inf.
+        # A loop, not a generator: a closure would turn t, c and lam into
+        # cell variables and slow the hot loop above.
+        for j in range(1, m):
+            if c[j] == math.inf and (
+                lam[j] ** (t - 2 * j - 2) == 0.0
+                or lam[j] ** (2 * j) * math.factorial(j) == math.inf
+            ):
+                break
+        raise ValidationError(
+            f"balancing parameter lambda_{j} = {lam[j]!r}: its power leaves the"
+            f" float range against c_{j} = inf"
+        )
     return ca, cb
 
 

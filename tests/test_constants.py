@@ -375,6 +375,33 @@ class TestNoZeroTimesInf:
         assert C_A(5.0, 1.0, None, [1.0, 1e-200]) == math.inf
         assert C_B(5.0, 1.0, None, [1.0, 1e-200]) < math.inf
 
+    def test_explicit_lambda_out_of_range_names_its_index(self):
+        # c_1 = inf at D = 1e200 and lambda_1^3 underflows: C_B would be inf * 0.
+        with pytest.raises(ValidationError, match=r"lambda_1 = 1e-200"):
+            compute_constants(7.0, 1e200, None, [1.0, 1e-200, 1.0])
+        # lambda_2^4 is finite but lambda_2^4 * 2! is not: C_A would be inf / inf.
+        with pytest.raises(ValidationError, match=r"lambda_2 = 1\.1e\+77"):
+            compute_constants(9.0, 1e200, None, [1.0, 1.0, 1.1e77, 1.0])
+        # lambda_1^2 overflows: no bare OverflowError.
+        for call in (C_A, C_B):
+            with pytest.raises(ValidationError, match=r"lambda_1 = 1e\+200 overflows"):
+                call(5.0, 1.0, None, [1.0, 1e200])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.floats(2.01, MAX_T),
+        D=st.sampled_from([1.0, 1e150, 1e200, 1e300]),
+        logs=st.lists(st.floats(-300.0, 300.0), min_size=30, max_size=30),
+    )
+    def test_explicit_lambdas_never_nan(self, t, D, logs):
+        lam = [10.0**x for x in logs[: int(t // 2)]]
+        try:
+            cs = compute_constants(t, D, None, lam)
+        except ValidationError as exc:
+            assert "balancing parameter lambda_" in str(exc)
+            return
+        assert not math.isnan(cs.C_A) and not math.isnan(cs.C_B)
+
     def test_theorem_bound_at_max_t(self):
         # c~_30 = inf meets an empty top layer (j = 30 > n = 3).
         t = MAX_T

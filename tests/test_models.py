@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rosenthal import (
 )
 from rosenthal import models
 from rosenthal.models import MODEL_KINDS
-from rosenthal.rng import THREADS_ENV_VAR, block_generator, iter_blocks, worker_count
+from rosenthal.rng import BLOCK_SIZE, THREADS_ENV_VAR, block_generator, iter_blocks, worker_count
 from rosenthal.verify import check_from_simulation
 
 
@@ -244,3 +245,84 @@ class TestMomentStream:
         model = make_model(kind, 4, self.SCALE)
         s, x, _ = model._simulate_block(block_generator(16, "norms", 0), 100, False, False)
         assert x is None and s.shape == (100,)
+
+
+# Shapes whose tile does not divide the 8192-row block, so every block ends
+# in a short tile and the 20000-replication run ends in a partial block.
+# dependent n = 100 is held at its 1024-row floor, which divides a whole
+# block but not the partial one.
+TILE_CASES = {
+    "uniform": (300, {}),
+    "lp": (50, {"p": 3.0, "dim": 8}),
+    "hilbert": (50, {}),
+    "dependent": (100, {}),
+    "two_point": (70, {}),
+    "rademacher": (70, {}),
+}
+
+
+class TestRowTiles:
+    REPS = 20000
+    SEED = 18
+
+    @pytest.fixture(scope="class")
+    def whole_block(self):
+        """Per kind: the model and its streams from whole-block calls."""
+        cache = {}
+
+        def get(kind):
+            if kind not in cache:
+                n, params = TILE_CASES[kind]
+                model = make_model(kind, n, np.linspace(0.5, 2.0, n), **params)
+                norms = [
+                    model._simulate_block(block_generator(self.SEED, "norms", blk), stop - start, True)
+                    for blk, start, stop in iter_blocks(self.REPS)
+                ]
+                moments = [
+                    model._simulate_block(block_generator(self.SEED, "moments", blk), stop - start, False)[1]
+                    for blk, start, stop in iter_blocks(self.REPS)
+                ]
+                cache[kind] = (
+                    model,
+                    np.concatenate([s for s, _, _ in norms]),
+                    np.concatenate([f for _, _, f in norms]),
+                    np.concatenate(moments),
+                )
+            return cache[kind]
+
+        return get
+
+    @pytest.mark.parametrize("keep_final", [False, True])
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", list(TILE_CASES))
+    def test_tiles_match_whole_blocks(self, whole_block, kind, threads, keep_final):
+        model, final_norms, final_vectors, increment_norms = whole_block(kind)
+        rows = max(model._min_tile_rows, models._TILE_ELEMS // model._width)
+        assert rows < BLOCK_SIZE and (self.REPS % BLOCK_SIZE) % rows != 0
+        sim = simulate(model, self.SEED, self.REPS, threads=threads, keep_final=keep_final)
+        assert np.array_equal(sim.final_norms, final_norms)
+        if keep_final:
+            assert np.array_equal(sim.final_vectors, final_vectors)
+        else:
+            assert sim.final_vectors is None
+        assert np.array_equal(sim.increment_norms, increment_norms)
+
+    @pytest.mark.parametrize("draw, shape", [("random", (7,)), ("standard_normal", (5, 3))])
+    def test_generator_continues_across_row_tiles(self, draw, shape):
+        whole = getattr(block_generator(19, "norms", 0), draw)((1001, *shape))
+        gen = block_generator(19, "norms", 0)
+        tiles = [getattr(gen, draw)((b - a, *shape)) for a, b in [(0, 1), (1, 38), (38, 500), (500, 1001)]]
+        assert np.array_equal(np.concatenate(tiles), whole)
+
+    @pytest.mark.parametrize(
+        "model", [UniformModel(500, 1.0), LpModel(50, 1.0, p=3.0, dim=8)], ids=["uniform", "lp"]
+    )
+    def test_working_memory_is_bounded_by_the_tile(self, model):
+        # Whole-block temporaries peaked at 63.5 (uniform) and 79.3 MB (lp).
+        tracemalloc.start()
+        try:
+            simulate(model, 3, 16384, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
