@@ -363,12 +363,12 @@ class BoundReport:
 
 def _ratio_scalar(t: float, A_t: float, B: float) -> float | None:
     """A_t / B^t, or None when B = 0 or the quotient is not a finite float
-    (B^t overflowing included)."""
+    (B^t overflowing, or underflowing to 0, included)."""
     if B <= 0.0:
         return None
     try:
         r = A_t / B**t
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return None
     return float(r) if math.isfinite(r) else None
 

@@ -11,10 +11,12 @@ where e_r is the elementary symmetric polynomial of the suffix, so a single
 O(n * j) table of suffix polynomials evaluates every cardinality.  Since
 e_r(w_k, ...) = sum_{i>=k} w_i e_{r-1}(w_{i+1}, ...), each order of the
 table is one vectorised pass: a reversed cumulative sum.  Each cardinality
-is then one array of terms reduced by ``math.fsum``, which rounds the sum
-correctly and so does not depend on the order of the terms.  Every term is
->= 0, so a sum that overflows the float range is +inf.  A direct
-enumeration oracle is provided for testing.
+is then one array of terms reduced to its correctly rounded sum, the value
+``math.fsum`` returns, so the result does not depend on the order of the
+terms.  Long arrays are reduced by an error-free pairwise fold in a few
+float64 array passes, which certifies its rounding or defers to
+``math.fsum``.  Every term is >= 0, so a sum that overflows the float range
+is +inf.  A direct enumeration oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_N = 20
+# Shortest term array that `_layer_sum` reduces with `_fold_sum`: the measured
+# crossover (2 vCPU, Python 3.11, numpy 2.4, products of uniforms).  The fold
+# and ``math.fsum`` of the list took 72 and 38 us at n = 1024, 78 and 74 us
+# at n = 2048, 83 and 172 us at n = 4096, and 0.44 and 5.3 ms at n = 1e5.
+_FOLD_MIN_N = 2048
+# The fold certifies totals in [2^-900, 2^1000]: there its error bound and
+# the half gaps around the total are normal floats, and no sum overflows.
+_FOLD_MIN_TOTAL = 2.0**-900
+_FOLD_MAX_TOTAL = 2.0**1000
 
 
 def _check_finite_nonneg(name: str, x: np.ndarray) -> None:
@@ -99,12 +110,94 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
     return table
 
 
+def _fold_sum(terms: np.ndarray) -> float | None:
+    """``math.fsum(terms)`` bit for bit, or None when that is not certified.
+
+    ``terms`` is a 1-d float64 array of terms >= 0 (NaN and inf only make
+    the result None).  With u = 2^-53 and S the exact sum:
+
+    *Fold.*  A level takes the m current values x, pairs x[i] with
+    x[m-h+i] for i < h = floor(m/2) (a middle value of odd m passes
+    through), and replaces each pair a, b by s = fl(a + b).  TwoSum (Knuth)
+    gives the error e = (a - (s - bb)) + (b - bb), bb = s - a, exactly:
+    a + b = s + e.  After d = ceil(log2 n) levels one value H is left, and
+    S = H + E exactly, where E sums every e.
+
+    *Size of E.*  Round to nearest gives |e| <= u (a + b).  Every value is
+    a rounded sum of terms >= 0, so the values of a level sum to at most
+    (1+u)^(k-1) S before level k, and sum |e| <= d u (1+u)^(d-1) S.  Each
+    term enters H through at most d roundings, so H >= (1-u)^d S.
+
+    *Errors of E.*  The errors fold alongside in ``lo``:
+    lo[i] <- fl(fl(lo[i] + lo[m-h+i]) + e[i]).  An error of level k meets
+    one rounding then and at most two per later level, at most 2d - 1 in
+    all, so the computed L obeys |E - L| <= gamma_(2d-1) sum |e|, with
+    gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Lemma 3.1).  Together
+
+        |S - (H + L)| <= gamma_(2d-1) d u (1+u)^(d-1) (1-u)^(-d) H
+                       < 3 d^2 u^2 H                  (d < 64 for any array),
+
+    and delta = d^2 2^-104 H = 4 d^2 u^2 H, computed with one rounding
+    (the power of two scales exactly), is above it.
+
+    *Certificate.*  TwoSum once more gives H + L = r + tau exactly, so
+    S - r lies in [tau - delta, tau + delta].  When that interval lies
+    strictly inside (-g_down/2, g_up/2), g_up and g_down the gaps from r to
+    its neighbours, S rounds to r, which is what ``math.fsum`` returns (it
+    rounds the exact sum to nearest).  Both gaps are exact, the bounds
+    on the total keep them and delta normal, and a rounded comparison
+    fl(tau + delta) < g_up/2 implies the exact one because rounding is
+    monotone and g_up/2 is a float.  A half-ulp tie never passes.
+    """
+    n = terms.shape[0]
+    if n < 2:
+        return None
+    # Level 1 reads ``terms``; later levels alternate between two buffers.
+    m = n - n // 2
+    hi, spare, lo = np.empty(m), np.empty(m - m // 2), np.zeros(m)
+    t, v = np.empty(n // 2), np.empty(n // 2)
+    x, m, d = terms, n, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m > 1:
+            h = m // 2
+            a, b = x[:h], x[m - h : m]
+            s = np.add(a, b, out=hi[:h])
+            bb = np.subtract(s, a, out=t[:h])
+            av = np.subtract(s, bb, out=v[:h])
+            e = np.add(np.subtract(a, av, out=av), np.subtract(b, bb, out=bb), out=av)
+            lo_h = lo[:h]
+            if d:
+                np.add(lo_h, lo[m - h : m], out=lo_h)
+            np.add(lo_h, e, out=lo_h)
+            if m % 2:
+                hi[h] = x[h]
+            x, hi, spare = hi, spare, hi
+            m -= h
+            d += 1
+    H, L = float(x[0]), float(lo[0])
+    if not _FOLD_MIN_TOTAL <= H <= _FOLD_MAX_TOTAL:
+        return None
+    r = H + L
+    z = r - H
+    tau = (H - (r - z)) + (L - z)
+    delta = d * d * H * 2.0**-104
+    half_up = (math.nextafter(r, math.inf) - r) / 2
+    half_down = (r - math.nextafter(r, 0.0)) / 2
+    if tau + delta < half_up and delta - tau < half_down:
+        return r
+    return None
+
+
 def _layer_sum(g: np.ndarray, w: np.ndarray, esp_table: np.ndarray | None, j: int) -> float:
     """The min-grouped sum of cardinality j for weight and prefix arrays.
 
-    Every term is >= 0, so an overflowing sum, and a 0 * inf term left by
-    an overflowed table entry, both give +inf: the value stays an upper
-    bound.  ``esp_table`` is only read when 0 < j <= n.
+    The terms are reduced to their correctly rounded sum: by `_fold_sum`
+    for n >= ``_FOLD_MIN_N`` when it certifies its result, else by
+    ``math.fsum``.  Every term is >= 0, so an overflowing sum, and a
+    0 * inf term left by an overflowed table entry, both give +inf: the
+    value stays an upper bound.  ``esp_table`` is only read when
+    0 < j <= n.
     """
     n = w.shape[0]
     if j > n:
@@ -113,6 +206,10 @@ def _layer_sum(g: np.ndarray, w: np.ndarray, esp_table: np.ndarray | None, j: in
         return float(g[n])
     with np.errstate(over="ignore", invalid="ignore"):
         terms = g[:n] * w * esp_table[1:, j - 1]
+    if n >= _FOLD_MIN_N:
+        total = _fold_sum(terms)
+        if total is not None:
+            return total
     try:
         total = math.fsum(terms.tolist())
     except OverflowError:

@@ -187,6 +187,14 @@ class TestMomentRatio:
         assert moment_ratio(p, VarianceEnvelope([1e120, 1.0])) is None
         assert _ratio_scalar(3.0, 1.0, 1e120) is None
 
+    def test_none_when_power_underflows(self):
+        # B^t = (1e-150)^5 underflows to 0, and so does A_n(5).
+        b = 1e-150
+        p = MomentProfile(1, 5.0, {5.0: [b**5], 3.0: [b**3], 2.0: [b**2]})
+        assert moment_ratio(p, VarianceEnvelope([b])) is None
+        assert _ratio_scalar(5.0, 0.0, b) is None
+        assert _ratio_scalar(5.0, 1e-300, b) is None
+
     def test_none_when_t_unstored(self):
         p = MomentProfile(1, 1.0, {2.0: [1.0]})
         assert moment_ratio(p, VarianceEnvelope([1.0])) is None

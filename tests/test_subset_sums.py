@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 from rosenthal import (
     DomainError,
     MinGroupedSumSpec,
+    MomentProfile,
     ValidationError,
+    VarianceEnvelope,
     brute_force_min_grouped_sum,
     elementary_symmetric_suffix,
     min_grouped_sum,
+    required_exponents,
+    theorem_bound,
 )
+from rosenthal.core import half_layers, pow00
+from rosenthal.subset_sums import _FOLD_MIN_N, _fold_sum
 
 
 def esp_by_enumeration(weights, r):
@@ -166,3 +172,120 @@ class TestOverflow:
         # e_2(w[1:]) overflows and meets the prefix value g(0) = 0.
         spec = MinGroupedSumSpec((1e200,) * 3, (0.0, 1.0, 1.0, 1.0), 3)
         assert min_grouped_sum(spec) == math.inf
+
+    def test_long_overflowing_sum_is_inf(self):
+        # n >= the fold threshold: finite terms whose sum overflows.
+        spec = MinGroupedSumSpec((1e306,) * _FOLD_MIN_N, (1.0,) * (_FOLD_MIN_N + 1), 1)
+        assert min_grouped_sum(spec) == math.inf
+
+    def test_long_inf_and_nan_terms_are_inf(self):
+        # e_2(w[k+1:]) overflows: the terms are inf, and NaN where g(k) = 0.
+        n = _FOLD_MIN_N + 5
+        spec = MinGroupedSumSpec((1e200,) * n, (0.0,) + (1.0,) * n, 3)
+        assert min_grouped_sum(spec) == math.inf
+        spec = MinGroupedSumSpec((1e200,) * n, (0.0,) * (n + 1), 3)
+        assert min_grouped_sum(spec) == math.inf
+
+
+def fsum_layer(g, w, table, j):
+    """Reference layer sum: the terms as a list, reduced by ``math.fsum``."""
+    n = w.shape[0]
+    if j == 0:
+        return float(g[n])
+    return math.fsum((g[:n] * w * table[1:, j - 1]).tolist())
+
+
+def two_point_case(n, t, seed):
+    """Exact moments of steps that are 0 or +-b_i / sqrt(2 p_i)."""
+    rng = np.random.default_rng(seed)
+    b = 10.0 ** rng.uniform(-0.5, 0.5, n)
+    p = rng.uniform(0.02, 0.5, n)
+    moments = {
+        s: b * b if s == 2.0 else 2.0 * p * (b / np.sqrt(2.0 * p)) ** s
+        for s in required_exponents(t)
+    }
+    return MomentProfile(n, t, moments), VarianceEnvelope(b)
+
+
+class TestFoldParity:
+    """Long layers take the vectorised fold; the value is fsum's, by repr."""
+
+    @pytest.mark.parametrize("n", [_FOLD_MIN_N - 1, _FOLD_MIN_N, 20_000, 100_000])
+    @pytest.mark.parametrize("t", [3.0, 6.5, 11.0])
+    def test_matches_fsum_per_layer(self, n, t):
+        profile, envelope = two_point_case(n, t, seed=n)
+        m = half_layers(t)
+        w = envelope.b * envelope.b
+        table = elementary_symmetric_suffix(w, max(m - 1, 0))
+        prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
+        prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
+
+        report = theorem_bound(profile, envelope, 1.0)
+        constants = report.constants["c"] + [report.constants["c_tilde"]]
+        value = 0.0
+        for j, (c, g) in enumerate(zip(constants, prefix)):
+            layer = fsum_layer(g, w, table, j)
+            spec = MinGroupedSumSpec(tuple(w), tuple(g), j)
+            assert repr(min_grouped_sum(spec, esp_table=table)) == repr(layer)
+            if j:
+                # These sums have no ties, so the fold certifies each one.
+                assert _fold_sum(g[:n] * w * table[1:, j - 1]) == layer
+            value += c * layer if layer else 0.0
+        assert repr(report.value) == repr(value)
+
+
+# Nonnegative terms over the whole float range: zeros, subnormals, normals.
+fold_terms = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.0**-1022, allow_subnormal=True),
+        st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 990)),
+    ),
+    max_size=80,
+)
+
+
+@given(fold_terms)
+@settings(max_examples=400, deadline=None)
+def test_fold_sum_is_fsum_or_none(xs):
+    got = _fold_sum(np.array(xs, dtype=float))
+    if got is not None:
+        assert repr(got) == repr(math.fsum(xs))
+
+
+@given(
+    st.floats(min_value=2.0**-800, max_value=2.0**900),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=40),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_fold_sum_defers_on_ties(r, split, zeros, random):
+    # r plus half the gap to its upper neighbour, in 2^split equal pieces:
+    # the exact sum is a half-ulp tie, which only fsum may round.
+    half = (math.nextafter(r, math.inf) - r) / 2
+    xs = [r] + [half / 2**split] * 2**split + [0.0] * zeros
+    random.shuffle(xs)
+    assert math.fsum(xs) in (r, math.nextafter(r, math.inf))
+    assert _fold_sum(np.array(xs)) is None
+
+
+def test_fold_sum_certifies_long_arrays():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 1000, _FOLD_MIN_N, 150_001):
+        for scale in (1e-250, 1.0, 1e250):
+            x = rng.exponential(scale, n)
+            x[rng.random(n) < 0.2] = 0.0
+            got = _fold_sum(x)
+            assert got is not None
+            assert repr(got) == repr(math.fsum(x.tolist()))
+
+
+def test_fold_sum_defers_out_of_range():
+    assert _fold_sum(np.array([])) is None
+    assert _fold_sum(np.array([1.0])) is None
+    assert _fold_sum(np.full(_FOLD_MIN_N, 1e-280)) is None  # total below 2^-900
+    assert _fold_sum(np.full(_FOLD_MIN_N, 1e300)) is None  # total above 2^1000
+    assert _fold_sum(np.array([1.0, math.inf])) is None
+    assert _fold_sum(np.array([1.0, math.nan, 2.0])) is None
