@@ -12,7 +12,7 @@ candidate and returns the smallest.
 Each closed form is one row of the private table ``_CLOSED_FORMS``: its
 t-interval, whether ``best_bound`` scans it, its leading factor and its
 formula.  One evaluator, ``_closed_form``, makes the checks every form
-shares, takes B^t as +inf where it overflows and builds the report.
+shares, evaluates the form in logs and builds the report.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import _aggregate, _check_t, _layer_constants
+from .constants import _aggregate, _check_t, _log_balanced, _log_layers, _log_smooth
 from .core import (
     BOUND_METHODS,
     BoundReport,
@@ -31,15 +31,17 @@ from .core import (
     MomentProfile,
     ValidationError,
     VarianceEnvelope,
+    _exp,
+    _log,
+    _log_sum,
     _ratio_scalar,
     half_layers,
-    moment_ratio,
     pow00,
     smoothness_value,
 )
 from .optimize import golden_section_minimize, grid_then_golden_minimize
 from .schedules import PQSchedule, default_schedule
-from .subset_sums import _check_finite_nonneg, _layer_sum, elementary_symmetric_suffix
+from .subset_sums import _layer_sum, elementary_symmetric_suffix
 
 __all__ = [
     "Pin94Config",
@@ -90,41 +92,49 @@ def theorem_bound(
     dependence on D) and are rejected unless ``allow_small_t`` is set.
     """
     _check_pair(profile, envelope)
-    if profile.t < 2.0 and not allow_small_t:
+    t = profile.t
+    if t < 2.0 and not allow_small_t:
         raise DomainError(
-            f"t={profile.t} is below 2; pass allow_small_t=True to evaluate the "
+            f"t={t} is below 2; pass allow_small_t=True to evaluate the "
             "degenerate m=0 form anyway"
         )
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
-    return _layered(profile, envelope, D, schedule, moment_ratio(profile, envelope))
+    A_t = profile.total(t) if profile.has_exponent(t) else None
+    return _layered(profile, envelope, D, schedule, A_t, envelope.total())
 
 
-def _layered(profile, envelope, D: float, schedule: PQSchedule, ratio_r) -> BoundReport:
-    """The layered bound's report; the caller supplies ratio_r = A_n(t)/B_n^t."""
+def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -> BoundReport:
+    """The layered bound's report from the totals A_n(t) (None when t is
+    unstored) and B_n.  Layer j is homogeneous of degree j in the weights
+    b_i^2, so the kernel runs on (b_i / B_n)^2, which sum to 1, and layer j
+    carries B_n^{2j} in logs."""
     t = profile.t
     m = half_layers(t)
-    w = envelope.b * envelope.b
-    _check_finite_nonneg("weights", w)
+    log_c, log_top = _log_layers(_check_t(t), D, schedule, m)
+    unit = B or 1.0  # B_n = 0 only without steps
+    w = (envelope.b / unit) ** 2
     table = elementary_symmetric_suffix(w, max(m - 1, 0))
-
-    layer_constants, top_constant = _layer_constants(_check_t(t), D, schedule, m)
     prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
     prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
 
-    value = 0.0
-    for j, (c, g) in enumerate(zip(layer_constants + [top_constant], prefix)):
-        _check_finite_nonneg("prefix values", g)
-        layer = _layer_sum(g, w, table, j)  # an empty layer adds 0, even under c = inf
-        value += c * layer if layer else 0.0
+    logs = [
+        log_cj + _log(_layer_sum(g, w, table, j)) + 2 * j * math.log(unit)
+        for j, (log_cj, g) in enumerate(zip(log_c + [log_top], prefix))
+    ]
 
     return BoundReport(
-        value=value,
+        value=_exp(_log_sum(logs)),
         method="theorem",
-        constants={"c": layer_constants, "c_tilde": top_constant},
+        constants={"c": [_exp(x) for x in log_c], "c_tilde": _exp(log_top)},
         parameters={"schedule": schedule.to_dict()},
-        ratio_r=ratio_r,
+        ratio_r=None if A_t is None else _ratio_scalar(t, A_t, B),
     )
+
+
+def _two_coefficients(log_ca, log_cb, log_A, log_Bt) -> tuple[float, dict]:
+    """log(C_A A_t + C_B B^t) and the report's {"C_A", "C_B"}."""
+    return _log_sum([log_ca + log_A, log_cb + log_Bt]), {"C_A": _exp(log_ca), "C_B": _exp(log_cb)}
 
 
 def corollary_bound(
@@ -141,8 +151,6 @@ def corollary_bound(
     """
     _check_pair(profile, envelope)
     t = profile.t
-    if t <= 2.0:
-        raise DomainError(f"the aggregated bound needs t > 2, got t={t}")
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
     return _aggregated(t, D, schedule, profile.total(t), envelope.total(), lambdas)
@@ -152,55 +160,49 @@ def _aggregated(
     t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas="optimize"
 ) -> BoundReport:
     """The aggregated bound's report from the totals A_n(t) and B_n."""
-    c, top, lam, ca, cb = _aggregate(t, D, schedule, A_t, B, lambdas)
+    log_A, log_Bt = _log(A_t), t * _log(B)
+    log_c, log_top, lam, log_ca, log_cb = _aggregate(t, D, schedule, log_A, log_Bt, lambdas)
+    log_value, constants = _two_coefficients(log_ca, log_cb, log_A, log_Bt)
     return BoundReport(
-        value=ca * A_t + cb * B**t,
+        value=_exp(log_value),
         method="corollary",
-        constants={"C_A": ca, "C_B": cb, "c": c, "c_tilde": top},
+        constants=dict(constants, c=[_exp(x) for x in log_c], c_tilde=_exp(log_top)),
         parameters={"lambdas": lam, "schedule": schedule.to_dict()},
         ratio_r=_ratio_scalar(t, A_t, B),
     )
 
 
-def _pow_inf(x: float, y: float) -> float:
-    """x ** y, or +inf where the power exceeds the float range."""
-    try:
-        return x**y
-    except OverflowError:
-        return math.inf
-
-
 def _smooth_front(t, D):
-    return (t - 2 + D * D) / (t - 1)
+    return _log_smooth(t - 2, D) - math.log(t - 1)
 
 
 def _hilbert_front(t, D):
-    return 2.0 ** max(0.0, t - 3.0)
+    return max(0.0, t - 3.0) * math.log(2.0)
 
 
-def _two_term(front, t, A_t, B, Bt):
-    return front * (A_t + (t - 1) * Bt), {"C_A": front, "C_B": front * (t - 1)}
+def _two_term(front, t, log_A, log_Bt):
+    return _two_coefficients(front, front + math.log(t - 1), log_A, log_Bt)
 
 
-def _split(front, t, A_t, B, Bt, alpha):
-    return front * (A_t / alpha ** (t - 3) + (t - 1) * Bt / (1 - alpha) ** (t - 3)), {
-        "C_A": front / alpha ** (t - 3),
-        "C_B": front * (t - 1) / (1 - alpha) ** (t - 3),
-    }
+def _split(front, t, log_A, log_Bt, alpha):
+    log_ca = front - (t - 3) * math.log(alpha)
+    log_cb = front + math.log(t - 1) - (t - 3) * math.log1p(-alpha)
+    return _two_coefficients(log_ca, log_cb, log_A, log_Bt)
 
 
-def _split_min(front, t, A_t, B, Bt):
+def _split_min(front, t, log_A, log_Bt):
     s = max(1.0, t - 2.0)
-    core = A_t ** (1.0 / s) + (t - 1) ** (1.0 / s) * _pow_inf(B, t / s)
-    return front * _pow_inf(core, s), {"front": front, "s_t": s}
+    core = _log_sum([log_A / s, (math.log(t - 1) + log_Bt) / s])
+    return front + s * core, {"front": _exp(front), "s_t": s}
 
 
 class _ClosedForm(NamedTuple):
     interval: str  # the t-interval, "(lo, hi]" or "[lo, hi]"
     scanned: bool  # a best_bound candidate; at D = 1 only, with hilbert
     hilbert: bool  # holds in the Hilbert case D = 1 only
-    front: Callable[[float, float], float]  # (t, D) -> the leading factor
-    formula: Callable[..., tuple[float, dict]]  # (front, t, A_t, B, B^t, **params)
+    front: Callable[[float, float], float]  # (t, D) -> log of the leading factor
+    # (log front, t, log A_t, log B^t, **params) -> (log value, report constants)
+    formula: Callable[..., tuple[float, dict]]
 
     def covers(self, t) -> bool:
         lo, hi = (float(x) for x in self.interval[1:-1].split(","))
@@ -227,14 +229,14 @@ def _check_interval(name: str, t) -> _ClosedForm:
 
 def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> BoundReport:
     """The report of one closed form; ``params`` go to its formula and, as
-    floats, into the report's parameters.  B^t is +inf where it overflows."""
+    floats, into the report's parameters."""
     form = _check_interval(name, t)
     D = smoothness_value(D)
     A_t = _check_nonneg(a_name, A_t)
     B = _check_nonneg("B", B)
-    value, constants = form.formula(form.front(t, D), t, A_t, B, _pow_inf(B, t), **params)
+    log_value, constants = form.formula(form.front(t, D), t, _log(A_t), t * _log(B), **params)
     return BoundReport(
-        value=value,
+        value=_exp(log_value),
         method=name,
         constants=constants,
         parameters={k: float(v) for k, v in params.items()},
@@ -291,14 +293,10 @@ class Pin94Config:
             raise ValidationError(f"K must be finite and > 0, got {self.K}")
 
 
-def _pin94_value(t: float, D: float, A_t: float, B: float, K: float, c: float) -> float:
-    term1 = c**t * A_t
-    if B == 0.0:
-        term2 = 0.0
-    else:
-        log2 = 0.5 * t * math.log(c) + t * t / c + t * math.log(D) + t * math.log(B)
-        term2 = math.exp(log2) if log2 < 700.0 else math.inf
-    return K**t * (term1 + term2)
+def _pin94_log(t: float, D: float, log_A: float, log_Bt: float, c: float) -> float:
+    """log of c^t A + c^(t/2) e^(t^2/c) D^t B^t."""
+    log_c = math.log(c)
+    return _log_sum([t * log_c + log_A, 0.5 * t * log_c + t * t / c + t * math.log(D) + log_Bt])
 
 
 def pin94_bound(
@@ -315,16 +313,17 @@ def pin94_bound(
     D = smoothness_value(D)
     A_t = _check_nonneg("A_t", A_t)
     B = _check_nonneg("B", B)
+    log_A, log_Bt = _log(A_t), t * _log(B)
     if config.c is not None:
         c = float(config.c)
         if not 1.0 <= c <= t:
             raise DomainError(f"balancing parameter c must lie in [1, {t}], got {c}")
     else:
         c, _ = golden_section_minimize(
-            lambda x: _pin94_value(t, D, A_t, B, 1.0, x), 1.0, t, tol=1e-10
+            lambda x: _pin94_log(t, D, log_A, log_Bt, x), 1.0, t, tol=1e-10
         )
     return BoundReport(
-        value=_pin94_value(t, D, A_t, B, config.K, c),
+        value=_exp(t * math.log(config.K) + _pin94_log(t, D, log_A, log_Bt, c)),
         method="pin94",
         constants={"K": config.K},
         parameters={"c": c},
@@ -334,16 +333,16 @@ def pin94_bound(
 
 def _best_beta_corollary(t: float, D: float, A_t: float, B: float) -> BoundReport:
     """Aggregated bound with the schedule parameter tuned over the fixed
-    grid plus golden-section refinement of the best cell, on values only."""
+    grid plus golden-section refinement of the best cell, on log values
+    only."""
+    m = half_layers(t)
+    log_A, log_Bt = _log(A_t), t * _log(B)
 
-    def value_at(beta: float) -> float:
-        *_, ca, cb = _aggregate(t, D, PQSchedule.beta_family(beta), A_t, B, "optimize")
-        value = ca * A_t + cb * B**t
-        if math.isnan(value):  # the check every BoundReport makes
-            raise ValidationError(f"bound value must be >= 0, got {value}")
-        return value
+    def log_value_at(beta: float) -> float:
+        log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(beta), m)
+        return _log_balanced(t, log_c, log_top, log_A, log_Bt)
 
-    beta, _ = grid_then_golden_minimize(value_at, BETA_GRID, tol=1e-10)
+    beta, _ = grid_then_golden_minimize(log_value_at, BETA_GRID, tol=1e-10)
     return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
 
 
@@ -377,7 +376,7 @@ def best_bound(
     B = envelope.total()
 
     candidates = [
-        _layered(profile, envelope, D, schedule, _ratio_scalar(t, A_t, B)),
+        _layered(profile, envelope, D, schedule, A_t, B),
         _aggregated(t, D, schedule, A_t, B),
     ]
     if t > 3.0:

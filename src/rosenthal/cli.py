@@ -8,8 +8,8 @@ ratio-curve  emit the (t-1)/E|Z|^t comparison curve as CSV or JSON
 verify       simulate a built-in martingale model and check the bounds
 
 Exit codes: 0 success (for verify: check passed), 1 verify check failed,
-2 usage, validation or arithmetic-overflow error.  All floating-point
-output carries 12 significant digits.  The ROSENTHAL_THREADS environment
+2 usage or validation error; a bound beyond the float range is +inf, not
+an error.  All floating-point output carries 12 significant digits.  The ROSENTHAL_THREADS environment
 variable caps the simulation worker count and never changes results.
 """
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import _aggregate
-from .core import DomainError, ValidationError
+from .core import DomainError, ValidationError, _exp, _log, _log_sum
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
 
@@ -59,16 +59,17 @@ def find_bt(t: float, *, grid_points: int = _GRID_POINTS, tol: float = 1e-10) ->
     """Maximizer b_t of R(t, .) on [0, 1/2] and the constant C_t = R(t, b_t).
 
     A dense grid scan localizes the maximum before golden-section
-    refinement; if a distant grid cell ties with the best one within 1e-9
-    a warning is emitted (the maximizer is expected to be unique).
+    refinement; a warning is emitted if a grid cell outside the best cell's
+    run of near-ties ties with it within 1e-9 (the maximizer is expected
+    to be unique; the flat top near t = 2 is a single run).
     """
     if not t > 2.0:
         raise DomainError(f"the re-centering constant needs t > 2, got t={t}")
     grid = np.linspace(0.0, 0.5, int(grid_points))
     vals = recentering_ratio(t, grid)
     i = int(np.argmax(vals))
-    near = np.abs(np.arange(grid.size) - i) <= 1
-    if np.any(vals[~near] >= vals[i] - _TIE_TOL):
+    ties = np.flatnonzero(vals >= vals[i] - _TIE_TOL)
+    if ties[-1] - ties[0] + 1 != ties.size:
         warnings.warn(
             f"re-centering ratio at t={t} has near-ties away from the best "
             "grid cell; the located maximizer may be one of several",
@@ -145,6 +146,7 @@ def sum_norm_bound(
     if not (math.isfinite(moments_t) and math.isfinite(moments_2)):
         raise ValidationError("moment sums must be finite")
     schedule = schedule or default_schedule()
-    *_, ca, cb = _aggregate(t, 1.0, schedule, moments_t, math.sqrt(moments_2), lambdas)
+    log_A, log_Bt = _log(moments_t), t / 2.0 * _log(moments_2)
+    *_, log_ca, log_cb = _aggregate(t, 1.0, schedule, log_A, log_Bt, lambdas)
     _, c_t = find_bt(t)
-    return c_t * ca * moments_t + cb * moments_2 ** (t / 2.0)
+    return _exp(_log_sum([math.log(c_t) + log_ca + log_A, log_cb + log_Bt]))

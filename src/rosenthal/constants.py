@@ -15,11 +15,16 @@ two-term form C_A * A_n(t) + C_B * B_n^t with
     C_B = c~_m prod_{j=1..m} 1/(t/2 - m + j)
           + sum_{j<m} c_j (2j)/(t-2) lambda_j^{t-2j-2} / j!.
 
-Each lambda_j trades the A-term against the B-term independently, so the
-minimizing value has a closed form.
+Each lambda_j trades the A-term against the B-term independently, and c_j
+cancels from the balance: every balanced lambda_j is r^{1/(t-2)} with
+r = A_n(t) / B_n^t.  The balanced value is then
 
-Every function here reads the layer constants c_j and c~_m of its
-(t, D, schedule) from one pass, ``_layer_constants``.
+    B_n^t (sum_{j<m} c_j r^{(t-2-2j)/(t-2)} / j! + c~_m prod_{j=1..m} 1/(t/2 - m + j)).
+
+Every constant is computed in logs, from one pass over the layers
+(``_log_layers``), and combined by log-sum-exp; D^2 enters as
+2 log D + log1p(x / D^2).  A value leaves the log domain only through
+``core._exp``, so it is +inf above the float range and never NaN.
 """
 
 from __future__ import annotations
@@ -28,7 +33,15 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .core import DomainError, ValidationError, half_layers, smoothness_value
+from .core import (
+    DomainError,
+    ValidationError,
+    _exp,
+    _log,
+    _log_sum,
+    half_layers,
+    smoothness_value,
+)
 from .schedules import PQSchedule, default_schedule, pq_eval
 
 __all__ = [
@@ -42,7 +55,8 @@ __all__ = [
     "compute_constants",
 ]
 
-# Guards iterated products and factorials against float overflow.
+# The largest supported exponent: the advertised domain is 2 <= t <= MAX_T.
+# The constants are computed in logs, so no t here overflows.
 MAX_T = 60.0
 
 
@@ -55,24 +69,32 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _layer_constants(t: float, D: float, schedule, m: int) -> tuple[list[float], float]:
-    """(c_0, ..., c_{m-1}) and the product of the first m layer factors (c~_m
-    when m = floor(t/2)), with one schedule evaluation per layer.  Each c_j
-    multiplies its front factor by the shared factors k < j in the order of
-    the defining product, so no value changes.  Inputs are not checked."""
-    c: list[float] = []
-    factors: list[float] = []
+def _log_smooth(x: float, D: float) -> float:
+    """log(x + D^2) for x >= 0 and D >= 1, finite for every finite D."""
+    return 2.0 * math.log(D) + math.log1p(x / D / D)
+
+
+def _log_pq(schedule: PQSchedule, s: float) -> tuple[float, float]:
+    """(log p(s), log q(s)); the beta family's powers are taken in logs, where
+    ``pq_eval``'s floats overflow for beta near 0 or 1 at large s."""
+    if schedule.kind == "beta_family" and s > 3.0:
+        return (3.0 - s) * math.log1p(-schedule.beta), (3.0 - s) * math.log(schedule.beta)
+    p, q = pq_eval(schedule, s)
+    return math.log(p), math.log(q)
+
+
+def _log_layers(t: float, D: float, schedule, m: int) -> tuple[list[float], float]:
+    """(log c_0, ..., log c_{m-1}) and the log of the product of the first m
+    layer factors (log c~_m when m = floor(t/2)), with one schedule
+    evaluation per layer.  Inputs are not checked."""
+    log_c: list[float] = []
+    shared = 0.0
     for j in range(m):
-        p, q = pq_eval(schedule, t - 2.0 * j)
-        value = (t - 2 * j - 2 + D * D) / (t - 2 * j - 1) * q
-        for f in factors:
-            value *= f
-        c.append(value)
-        factors.append((t - 2 * j) * (t - 2 * j - 2 + D * D) * p / 2.0)
-    top = 1.0
-    for f in factors:
-        top *= f
-    return c, top
+        log_p, log_q = _log_pq(schedule, t - 2.0 * j)
+        smooth = _log_smooth(t - 2 * j - 2, D)
+        log_c.append(shared + smooth - math.log(t - 2 * j - 1) + log_q)
+        shared += math.log((t - 2 * j) / 2.0) + smooth + log_p
+    return log_c, shared
 
 
 def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
@@ -82,109 +104,46 @@ def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
     m = half_layers(t)
     if int(j) != j or not 0 <= j <= m - 1:
         raise DomainError(f"layer index j must lie in 0..{m - 1}, got {j}")
-    return _layer_constants(t, D, schedule or default_schedule(), int(j) + 1)[0][-1]
+    return _exp(_log_layers(t, D, schedule or default_schedule(), int(j) + 1)[0][-1])
 
 
 def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:
     """The top-layer constant c~_m(t); 1 when m = 0."""
     t = _check_t(t)
     D = smoothness_value(D)
-    return _layer_constants(t, D, schedule or default_schedule(), half_layers(t))[1]
+    return _exp(_log_layers(t, D, schedule or default_schedule(), half_layers(t))[1])
 
 
-def _check_lambdas(lambdas: Sequence[float], m: int) -> list[float]:
-    lam = [float(x) for x in lambdas]
-    if len(lam) != m:
-        raise ValidationError(f"need {m} balancing parameters, got {len(lam)}")
-    if any(not math.isfinite(x) or x <= 0.0 for x in lam):
-        raise ValidationError("balancing parameters must be finite and > 0")
-    return lam
+def _log_top_term(t: float, log_top: float, m: int) -> float:
+    """log of c~_m prod_{j=1..m} 1/(t/2 - m + j), the C_B term free of lambda."""
+    return log_top - math.fsum([math.log(t / 2.0 - m + j) for j in range(1, m + 1)])
 
 
-def _check_aggregated_t(t: float) -> float:
-    t = _check_t(t)
-    if t <= 2.0:
-        raise DomainError(f"the aggregated constants need t > 2, got t={t}")
-    return t
+def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, float]:
+    """(log C_A, log C_B) from the log layer constants and log lambdas.  A
+    term with a zero coefficient (t-2j-2 or 2j) is left out of its sum."""
+    log_a, log_b = [], [_log_top_term(t, log_top, len(log_c))]
+    for j, (lc, ll) in enumerate(zip(log_c, log_lam)):
+        lc -= math.lgamma(j + 1)
+        if t - 2 * j - 2 > 0.0:
+            log_a.append(lc + math.log((t - 2 * j - 2) / (t - 2)) - 2 * j * ll)
+        if j:
+            log_b.append(lc + math.log(2 * j / (t - 2)) + (t - 2 * j - 2) * ll)
+    return _log_sum(log_a), _log_sum(log_b)
 
 
-def _coefficients(t: float, c, top: float, lam) -> tuple[float, float]:
-    """(C_A, C_B) from the layer constants, c~_m and the balancing parameters.
-    A term with a zero coefficient (t-2j-2 or 2j) adds nothing, even when c_j
-    is +inf; a C_A term whose lambda_j^{2j} j! underflows to 0 is +inf.
-
-    Raises ValidationError naming lambda_j when a power of lambda_j
-    overflows, or when it leaves the float range against c_j = +inf, which
-    would make a coefficient NaN.
-    """
-    m = len(c)
-    ca, cb = 0.0, top
-    for j in range(1, m + 1):
-        cb /= t / 2.0 - m + j
-    try:
-        for j, cj in enumerate(c):
-            if t - 2 * j - 2 != 0.0:
-                den = lam[j] ** (2 * j) * math.factorial(j)
-                ca += cj * (t - 2 * j - 2) / (t - 2) / den if den else math.inf
-            if j:
-                cb += cj * (2 * j) / (t - 2) * lam[j] ** (t - 2 * j - 2) / math.factorial(j)
-    except OverflowError:
-        raise ValidationError(
-            f"balancing parameter lambda_{j} = {lam[j]!r} overflows its power"
-        ) from None
-    total = ca + cb
-    if total != total:
-        # Both sums are >= 0, so their sum is NaN only if one of them is.
-        # Every c_j lies in (0, +inf], so a NaN is inf * 0 or inf / inf: the
-        # first layer with c_j = +inf whose power of lambda_j is 0 or +inf.
-        # A loop, not a generator: a closure would turn t, c and lam into
-        # cell variables and slow the hot loop above.
-        for j in range(1, m):
-            if c[j] == math.inf and (
-                lam[j] ** (t - 2 * j - 2) == 0.0
-                or lam[j] ** (2 * j) * math.factorial(j) == math.inf
-            ):
-                break
-        raise ValidationError(
-            f"balancing parameter lambda_{j} = {lam[j]!r}: its power leaves the"
-            f" float range against c_{j} = inf"
-        )
-    return ca, cb
-
-
-def _checked_coefficients(t, D, schedule, lambdas) -> tuple[float, float]:
-    t = _check_aggregated_t(t)
-    m = half_layers(t)
-    lam = _check_lambdas(lambdas, m)
-    c, top = _layer_constants(t, smoothness_value(D), schedule or default_schedule(), m)
-    return _coefficients(t, c, top, lam)
-
-
-def C_A(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
-    """Coefficient of A_n(t) in the aggregated bound (t > 2)."""
-    return _checked_coefficients(t, D, schedule, lambdas)[0]
-
-
-def C_B(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
-    """Coefficient of B_n^t in the aggregated bound (t > 2)."""
-    return _checked_coefficients(t, D, schedule, lambdas)[1]
-
-
-def _balanced_lambdas(t: float, c, A_t: float, B: float) -> tuple[float, ...]:
-    """:func:`optimize_lambdas` from the layer constants c."""
-    out = []
-    for j, cj in enumerate(c):
-        expo = t - 2 * j - 2
-        if j == 0 or expo == 0.0:
-            out.append(1.0)
-            continue
-        u = cj * expo / (t - 2) * A_t / math.factorial(j)
-        v = cj * (2 * j) / (t - 2) * B**t / math.factorial(j)
-        if u == 0.0 or v == 0.0:
-            out.append(1.0)
-        else:
-            out.append((2 * j * u / (expo * v)) ** (1.0 / (t - 2)))
-    return tuple(out)
+def _log_balanced(t: float, log_c, log_top: float, log_A: float, log_Bt: float) -> float:
+    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`.
+    With A_t, B > 0 this is one sum over the layers, since at the balance
+    B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!, x = (t-2-2j)/(t-2)."""
+    if not (math.isfinite(log_A) and math.isfinite(log_Bt)):  # every lambda_j = 1
+        log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0] * len(log_c))
+        return _log_sum([log_ca + log_A, log_cb + log_Bt])
+    terms = [_log_top_term(t, log_top, len(log_c)) + log_Bt]
+    for j, lc in enumerate(log_c):
+        x = (t - 2 - 2 * j) / (t - 2)
+        terms.append(lc - math.lgamma(j + 1) + x * log_A + (1.0 - x) * log_Bt)
+    return _log_sum(terms)
 
 
 def optimize_lambdas(
@@ -194,41 +153,58 @@ def optimize_lambdas(
 
     Layer j contributes u_j lambda^{-2j} + v_j lambda^{t-2j-2} to the
     objective with u_j = c_j (t-2j-2)/(t-2) A_t / j! and
-    v_j = c_j (2j)/(t-2) B^t / j!, so the unique stationary point is
+    v_j = c_j (2j)/(t-2) B^t / j!.  Its stationary point
 
-        lambda_j = (2j u_j / ((t-2j-2) v_j))^(1/(t-2)).
+        lambda_j = (2j u_j / ((t-2j-2) v_j))^(1/(t-2)) = (A_t / B^t)^(1/(t-2))
 
-    Degenerate layers (j = 0, vanishing exponent t-2j-2, or a vanishing
-    coefficient) default to lambda_j = 1.
+    does not depend on c_j.  Degenerate layers (j = 0 or a vanishing
+    exponent t-2j-2) and a vanishing A_t or B default to lambda_j = 1.
     """
-    t = _check_t(t)
-    if t <= 2.0:
-        raise DomainError(f"balancing applies for t > 2, got t={t}")
     if A_t < 0.0 or B < 0.0:
         raise ValidationError("moment totals must be >= 0")
     D = smoothness_value(D)
-    c, _ = _layer_constants(t, D, schedule or default_schedule(), half_layers(t))
-    return _balanced_lambdas(t, c, A_t, B)
+    log_A, log_Bt = _log(A_t), t * _log(B)
+    return tuple(_aggregate(t, D, schedule or default_schedule(), log_A, log_Bt, "optimize")[2])
 
 
 def _aggregate(
-    t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas
+    t: float, D: float, schedule: PQSchedule, log_A: float, log_Bt: float, lambdas
 ) -> tuple[list[float], float, list[float], float, float]:
-    """(c, c~_m, lambdas, C_A, C_B) at one (t, D, schedule) from one pass over
-    the layer constants.  ``lambdas`` is a sequence, ``None`` for all ones or
-    ``"optimize"`` (:func:`optimize_lambdas`); either way it passes the checks
-    of :func:`C_A`.  The caller has checked D and A_t, B >= 0."""
+    """(log c, log c~_m, lambdas, log C_A, log C_B) at one (t, D, schedule)
+    from the logs of A_t and B^t.  ``lambdas`` is a sequence, ``None`` for
+    all ones or ``"optimize"`` (:func:`optimize_lambdas`); the returned
+    lambdas are floats.  The caller has checked D and A_t, B >= 0."""
     if isinstance(lambdas, str) and lambdas != "optimize":
         raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-    t = _check_aggregated_t(t)
+    t = _check_t(t)
+    if t <= 2.0:
+        raise DomainError(f"the aggregated constants need t > 2, got t={t}")
     m = half_layers(t)
-    c, top = _layer_constants(t, D, schedule, m)
+    log_c, log_top = _log_layers(t, D, schedule, m)
     if isinstance(lambdas, str):
-        lambdas = _balanced_lambdas(t, c, A_t, B)
-    elif lambdas is None:
-        lambdas = (1.0,) * m
-    lam = _check_lambdas(lambdas, m)
-    return c, top, lam, *_coefficients(t, c, top, lam)
+        # lambda_j = r^{1/(t-2)}, or 1 where A_t or B^t is 0 or +inf.
+        balanced = math.isfinite(log_A) and math.isfinite(log_Bt)
+        log_r = (log_A - log_Bt) / (t - 2) if balanced else 0.0
+        log_lam = [log_r if j and t - 2 * j - 2 != 0.0 else 0.0 for j in range(m)]
+        lam = [_exp(x) for x in log_lam]
+    else:
+        lam = [float(x) for x in ((1.0,) * m if lambdas is None else lambdas)]
+        if len(lam) != m:
+            raise ValidationError(f"need {m} balancing parameters, got {len(lam)}")
+        if any(not math.isfinite(x) or x <= 0.0 for x in lam):
+            raise ValidationError("balancing parameters must be finite and > 0")
+        log_lam = [math.log(x) for x in lam]
+    return log_c, log_top, lam, *_log_coefficients(t, log_c, log_top, log_lam)
+
+
+def C_A(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
+    """Coefficient of A_n(t) in the aggregated bound (t > 2)."""
+    return compute_constants(t, D, schedule, lambdas).C_A
+
+
+def C_B(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:
+    """Coefficient of B_n^t in the aggregated bound (t > 2)."""
+    return compute_constants(t, D, schedule, lambdas).C_B
 
 
 @dataclass(frozen=True)
@@ -251,10 +227,12 @@ def compute_constants(
     t: float, D, schedule: PQSchedule | None = None, lambdas: Sequence[float] | None = None
 ) -> ConstantSet:
     """Evaluate every constant at once (t > 2); lambdas default to ones."""
-    t = _check_aggregated_t(t)
+    t = float(t)
     D = smoothness_value(D)
-    m = half_layers(t)
-    lam = tuple(_check_lambdas(lambdas, m)) if lambdas is not None else (1.0,) * m
-    c, top = _layer_constants(t, D, schedule or default_schedule(), m)
-    ca, cb = _coefficients(t, c, top, lam)
-    return ConstantSet(t=t, D=D, c=tuple(c), c_tilde=top, C_A=ca, C_B=cb, lambdas=lam)
+    log_c, log_top, lam, log_ca, log_cb = _aggregate(
+        t, D, schedule or default_schedule(), 0.0, 0.0, lambdas
+    )
+    return ConstantSet(
+        t=t, D=D, c=tuple(_exp(x) for x in log_c), c_tilde=_exp(log_top),
+        C_A=_exp(log_ca), C_B=_exp(log_cb), lambdas=tuple(lam),
+    )

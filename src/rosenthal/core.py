@@ -105,10 +105,7 @@ class SmoothnessConstant:
     D: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.D) and self.D >= 1.0):
-            raise ValidationError(
-                f"smoothness constant must be finite and >= 1, got {self.D}"
-            )
+        smoothness_value(self.D)
 
     def __float__(self) -> float:
         return self.D
@@ -208,7 +205,8 @@ class MomentProfile:
         """Partial sums (A_0(s), A_1(s), ..., A_n(s)); A_0(s) = 0."""
         a = self.moment_array(s)
         out = np.zeros(self.n + 1)
-        np.cumsum(a, out=out[1:])
+        with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+            np.cumsum(a, out=out[1:])
         return out
 
     def partial_sum(self, k: int, s: float) -> float:
@@ -216,7 +214,8 @@ class MomentProfile:
         if int(k) != k or not 0 <= k <= self.n:
             raise DomainError(f"index k must lie in 0..{self.n}, got {k}")
         a = self.moment_array(s)
-        return float(np.sum(a[: int(k)]))
+        with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
+            return float(np.sum(a[: int(k)]))
 
     def total(self, s: float) -> float:
         """A_n(s)."""
@@ -302,8 +301,9 @@ class VarianceEnvelope:
         return np.sqrt(out)
 
     def total(self) -> float:
-        """B_n."""
-        return math.sqrt(float(np.sum(self.b**2)))
+        """B_n, summed in units of max b_i so that no b_i^2 overflows."""
+        top = float(self.b.max(initial=0.0))
+        return top * math.sqrt(float(np.sum((self.b / top) ** 2)))
 
     def to_dict(self) -> dict:
         return {"b": [float(v) for v in self.b]}
@@ -361,21 +361,40 @@ class BoundReport:
         }
 
 
+_LOG_MAX = math.log(math.nextafter(math.inf, 0.0))  # the largest log exp maps to a float
+
+
+def _log(x: float) -> float:
+    """log x for x >= 0, with log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_sum(logs) -> float:
+    """log(sum(exp(x) for x in logs)); -inf for no or all-zero terms."""
+    top = max(logs, default=-math.inf)
+    if math.isinf(top):
+        return top
+    return top + math.log(math.fsum([math.exp(x - top) for x in logs]))
+
+
+def _exp(x: float) -> float:
+    """exp x as a float, the one exit from the log domain: +inf above the
+    float range, the smallest positive float where a positive value
+    underflows, and 0.0 only for x = -inf."""
+    if x > _LOG_MAX:
+        return math.inf
+    return math.exp(x) or (math.ulp(0.0) if x > -math.inf else 0.0)
+
+
 def _ratio_scalar(t: float, A_t: float, B: float) -> float | None:
-    """A_t / B^t, or None when B = 0 or the quotient is not a finite float
-    (B^t overflowing, or underflowing to 0, included)."""
+    """A_t / B^t, evaluated in logs; None when B = 0."""
     if B <= 0.0:
         return None
-    try:
-        r = A_t / B**t
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return float(r) if math.isfinite(r) else None
+    return _exp(_log(A_t) - t * math.log(B))
 
 
 def moment_ratio(profile: MomentProfile, envelope: VarianceEnvelope) -> float | None:
-    """A_n(t) / B_n^t, or None when undefined (B_n = 0, t unstored, or
-    a quotient that is not a finite float)."""
+    """A_n(t) / B_n^t, or None when undefined (B_n = 0 or t unstored)."""
     if not profile.has_exponent(profile.t):
         return None
     return _ratio_scalar(profile.t, profile.total(profile.t), envelope.total())

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,7 +76,10 @@ class TestBoundCommand:
         assert code == 2
         assert "t" in err
 
-    def test_overflow_exits_two(self, tmp_path, capsys):
+    def test_overflowing_envelope_exits_zero(self, tmp_path, capsys):
+        # B_n^3 = 1e360 is beyond the float range: the layered bound is 5
+        # (c_0 A_2(3) + c~_1 A_1(2)^(1/2) b_2^2 = 1 * 2 + 3 * 1) and wins,
+        # while the aggregated bound is +inf.
         case = {
             "profile": {"n": 2, "t": 3.0, "moments": {"3": [1.0, 1.0], "2": [1.0, 1.0]}},
             "envelope": {"b": [1e120, 1.0]},
@@ -83,9 +87,13 @@ class TestBoundCommand:
         }
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(case))
-        code, _, err = run_main(["bound", "--input", str(path)], capsys)
-        assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, _ = run_main(["bound", "--input", str(path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["value"], report["method"]) == (5.0, "theorem")
+        code, out, _ = run_main(["bound", "--input", str(path), "--method", "corollary"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == math.inf
 
     def test_missing_file(self, capsys):
         code, _, err = run_main(["bound", "--input", "/nonexistent.json"], capsys)

@@ -1,6 +1,6 @@
 import math
-from dataclasses import astuple
 
+import decimal_oracle as oracle
 import numpy as np
 import pytest
 from conftest import make_valid_case
@@ -206,12 +206,40 @@ def ref_optimize_lambdas(t, D, schedule, A_t, B):
     return tuple(out)
 
 
-def outcome(f, *args):
-    """The value's repr (exact for floats, NaN included) or the error raised."""
+# The log path rounds each value within a few units of eps * |log value|,
+# far below this tolerance; the float references round their products too.
+REL = 1e-12
+
+
+def close(got, want, rel=REL):
+    """Equal (+inf included), or both finite and within rel relative."""
+    if got == want:
+        return True
+    return math.isfinite(got) and math.isfinite(want) and abs(got - want) <= rel * max(
+        abs(got), abs(want)
+    )
+
+
+def agree(got, want_call):
+    """The public values agree with the float reference, entry by entry.
+
+    Where the reference fails on its own floats, the public value is still
+    a float >= 0: an OverflowError from a power, a NaN lambda from inf / inf
+    (the reference corollary rejects it), and +inf or 0 from an
+    intermediate product or quotient that overflows, where the log-domain
+    value of these positive quantities may be finite (``test_log_domain``
+    checks those values against a decimal oracle).
+    """
+    got = [float(x) for x in (got if isinstance(got, (list, tuple)) else [got])]
+    assert not any(math.isnan(x) or x < 0.0 for x in got), got
     try:
-        return repr(f(*args))
-    except (ArithmeticError, ValueError) as exc:
-        return (type(exc).__name__, str(exc))
+        want = want_call()
+    except (OverflowError, ValidationError):
+        return
+    want = [float(x) for x in (want if isinstance(want, (list, tuple)) else [want])]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert math.isnan(w) or (w in (0.0, math.inf) and g > 0.0) or close(g, w), (got, want)
 
 
 def ref_corollary(t, D, schedule, A_t, B):
@@ -238,31 +266,27 @@ SCHEDULES = st.one_of(
 
 
 class TestConstantsParity:
-    """Every public constant equals the per-function reference bit for bit."""
+    """Every public constant equals the per-function reference to REL."""
 
     def check_all(self, t, D, schedule):
         sched = schedule or PQSchedule.beta_family()
         m = int(math.floor(t / 2.0))
         for j in range(m):
-            assert outcome(c_j, t, D, schedule, j) == outcome(ref_c_j, t, D, sched, j)
-        assert outcome(c_tilde, t, D, schedule) == outcome(ref_c_tilde, t, D, sched)
+            agree(c_j(t, D, schedule, j), lambda: ref_c_j(t, D, sched, j))
+        agree(c_tilde(t, D, schedule), lambda: ref_c_tilde(t, D, sched))
         lam = [0.5 + 0.1 * j for j in range(m)]
         for ones in (lam, [1.0] * m):
-            assert outcome(C_A, t, D, schedule, ones) == outcome(ref_C_A, t, D, sched, ones)
-            assert outcome(C_B, t, D, schedule, ones) == outcome(ref_C_B, t, D, sched, ones)
+            agree(C_A(t, D, schedule, ones), lambda: ref_C_A(t, D, sched, ones))
+            agree(C_B(t, D, schedule, ones), lambda: ref_C_B(t, D, sched, ones))
         for A_t, B in ((2.0, 0.7), (0.0, 1.3), (5.0, 1.0)):
-            assert outcome(optimize_lambdas, t, D, schedule, A_t, B) == outcome(
-                ref_optimize_lambdas, t, D, sched, A_t, B
-            )
-        got = outcome(lambda: astuple(compute_constants(t, D, schedule, lam)))
-        want = outcome(lambda: (
-            t, D, tuple(ref_c_j(t, D, sched, j) for j in range(m)), ref_c_tilde(t, D, sched),
-            ref_C_A(t, D, sched, lam), ref_C_B(t, D, sched, lam), tuple(lam),
-        ))
-        assert got == want
-        if isinstance(got, tuple):
-            return
+            agree(optimize_lambdas(t, D, schedule, A_t, B),
+                  lambda: ref_optimize_lambdas(t, D, sched, A_t, B))
         cs = compute_constants(t, D, schedule, lam)
+        agree([cs.t, cs.D, *cs.c, cs.c_tilde, cs.C_A, cs.C_B, *cs.lambdas], lambda: [
+            t, D, *(ref_c_j(t, D, sched, j) for j in range(m)), ref_c_tilde(t, D, sched),
+            ref_C_A(t, D, sched, lam), ref_C_B(t, D, sched, lam), *lam,
+        ])
+        assert (cs.t, cs.D, cs.lambdas) == (t, D, tuple(lam))
         assert cs.to_dict() == {
             "t": t, "D": D, "c": list(cs.c), "c_tilde": cs.c_tilde, "C_A": cs.C_A,
             "C_B": cs.C_B, "lambdas": lam,
@@ -288,20 +312,16 @@ class TestConstantsParity:
         prof, env = make_valid_case(np.random.default_rng(seed), t=t, max_n=6)
         sched = schedule or PQSchedule.beta_family()
         A_t, B = prof.total(t), env.total()
-        want = outcome(ref_corollary, t, D, sched, A_t, B)
-        try:
-            rep = corollary_bound(prof, env, D, schedule)
-        except (ArithmeticError, ValueError) as exc:
-            assert (type(exc).__name__, str(exc)) == want
-            return
-        value, ca, cb, lam = ref_corollary(t, D, sched, A_t, B)
-        assert repr((rep.value, rep.constants["C_A"], rep.constants["C_B"])) == repr(
-            (value, ca, cb)
-        )
-        assert repr(rep.parameters["lambdas"]) == repr(list(lam))
+        rep = corollary_bound(prof, env, D, schedule)
         m = int(math.floor(t / 2.0))
-        assert repr(rep.constants["c"]) == repr([ref_c_j(t, D, sched, j) for j in range(m)])
-        assert repr(rep.constants["c_tilde"]) == repr(ref_c_tilde(t, D, sched))
+
+        def want():
+            value, ca, cb, lam = ref_corollary(t, D, sched, A_t, B)
+            return [value, ca, cb, *lam, *(ref_c_j(t, D, sched, j) for j in range(m)),
+                    ref_c_tilde(t, D, sched)]
+
+        agree([rep.value, rep.constants["C_A"], rep.constants["C_B"], *rep.parameters["lambdas"],
+               *rep.constants["c"], rep.constants["c_tilde"]], want)
 
     @settings(max_examples=15, deadline=None)
     @given(t=st.floats(3.0, 12.0, exclude_min=True), D=st.floats(1.0, 10.0),
@@ -309,14 +329,15 @@ class TestConstantsParity:
     def test_scanned_candidate_matches_reference_scan(self, t, D, seed):
         prof, env = make_valid_case(np.random.default_rng(seed), t=t, max_n=6)
         A_t, B = prof.total(t), env.total()
-        beta, value = grid_then_golden_minimize(
+        _, value = grid_then_golden_minimize(
             lambda b: ref_corollary(t, D, PQSchedule.beta_family(b), A_t, B)[0],
             BETA_GRID, tol=1e-10,
         )
         scanned = _best_beta_corollary(t, D, A_t, B)
-        assert repr((scanned.value, scanned.parameters["schedule"]["beta"])) == repr(
-            (value, beta)
-        )
+        # Values that differ by rounding may steer golden section to another
+        # beta on the flat bottom; the minimum value is what must agree.
+        assert close(scanned.value, value)
+        beta = scanned.parameters["schedule"]["beta"]
         plain = corollary_bound(prof, env, D, PQSchedule.beta_family(beta))
         assert scanned.to_dict() == plain.to_dict()
         assert best_bound(prof, env, D).value <= scanned.value
@@ -341,15 +362,17 @@ class TestConstantsErrors:
         with pytest.raises(DomainError, match="layer index"):
             c_j(6.5, 1.0, None, j)
 
-    def test_lambda_underflow_is_a_validation_error(self):
-        # At D = 1e200 every c_j overflows, so the closed-form lambdas are
-        # nan and the aggregated bound must reject them, not return a value.
+    def test_balanced_lambda_at_huge_D_is_finite(self):
+        # At D = 1e200 every c_j exceeds the float range, but c_j cancels
+        # from the balance: lambda_1 = (A_t / B^5)^(1/3), and the bound is +inf.
         prof, env = make_valid_case(np.random.default_rng(3), t=5.0, n=3)
-        assert math.isnan(optimize_lambdas(5.0, 1e200, None, prof.total(5.0), env.total())[1])
-        with pytest.raises(ValidationError, match="balancing parameters must be finite"):
-            corollary_bound(prof, env, 1e200)
-        with pytest.raises(ValidationError, match="balancing parameters must be finite"):
-            C_A(5.0, 1e200, None, optimize_lambdas(5.0, 1e200, None, 1.0, 1.0))
+        A_t, B = prof.total(5.0), env.total()
+        lam = optimize_lambdas(5.0, 1e200, None, A_t, B)
+        assert lam[0] == 1.0
+        assert lam[1] == pytest.approx((A_t / B**5) ** (1.0 / 3.0), rel=REL)
+        rep = corollary_bound(prof, env, 1e200)
+        assert rep.value == math.inf and rep.parameters["lambdas"] == list(lam)
+        assert C_A(5.0, 1e200, None, lam) == math.inf
 
 
 class TestNoZeroTimesInf:
@@ -367,25 +390,28 @@ class TestNoZeroTimesInf:
         # c_0 = inf at D = 1e200; its C_B coefficient 2j is 0 for j = 0.
         cs = compute_constants(3.0, 1e200)
         assert (cs.C_A, cs.C_B) == (math.inf, math.inf)
-        # At t = 60 the last layer's C_A coefficient t-2j-2 is 0 and c_29 = inf.
-        assert C_A(MAX_T, 1.0, None, [1.0] * 30) == math.inf
+        # At t = 60 the last layer's C_A coefficient t-2j-2 is 0 and c_29 is
+        # beyond the float range, while C_A itself is finite.
+        assert c_j(MAX_T, 1.0, None, 29) == math.inf
+        want = float(oracle.coefficients(MAX_T, 1.0, 0.5, [1.0] * 30)[0])
+        assert C_A(MAX_T, 1.0, None, [1.0] * 30) == pytest.approx(want, rel=REL)
 
     def test_underflowed_lambda_power_is_inf(self):
         # lambda_1^2 underflows to 0: the C_A term is +inf, not ZeroDivisionError.
         assert C_A(5.0, 1.0, None, [1.0, 1e-200]) == math.inf
         assert C_B(5.0, 1.0, None, [1.0, 1e-200]) < math.inf
 
-    def test_explicit_lambda_out_of_range_names_its_index(self):
-        # c_1 = inf at D = 1e200 and lambda_1^3 underflows: C_B would be inf * 0.
-        with pytest.raises(ValidationError, match=r"lambda_1 = 1e-200"):
-            compute_constants(7.0, 1e200, None, [1.0, 1e-200, 1.0])
-        # lambda_2^4 is finite but lambda_2^4 * 2! is not: C_A would be inf / inf.
-        with pytest.raises(ValidationError, match=r"lambda_2 = 1\.1e\+77"):
-            compute_constants(9.0, 1e200, None, [1.0, 1.0, 1.1e77, 1.0])
-        # lambda_1^2 overflows: no bare OverflowError.
-        for call in (C_A, C_B):
-            with pytest.raises(ValidationError, match=r"lambda_1 = 1e\+200 overflows"):
-                call(5.0, 1.0, None, [1.0, 1e200])
+    def test_explicit_lambda_out_of_float_power_range_is_a_value(self):
+        # c_1 = inf at D = 1e200 and lambda_1^3 underflows: C_B is inf, not NaN.
+        cs = compute_constants(7.0, 1e200, None, [1.0, 1e-200, 1.0])
+        assert (cs.C_A, cs.C_B) == (math.inf, math.inf)
+        # lambda_2^4 * 2! is beyond the float range.
+        cs = compute_constants(9.0, 1e200, None, [1.0, 1.0, 1.1e77, 1.0])
+        assert (cs.C_A, cs.C_B) == (math.inf, math.inf)
+        # lambda_1^2 and lambda_1^1 are beyond the float range, C_A and C_B are not.
+        ca, cb = oracle.coefficients(5.0, 1.0, 0.5, [1.0, 1e200])
+        assert C_A(5.0, 1.0, None, [1.0, 1e200]) == pytest.approx(float(ca), rel=REL)
+        assert C_B(5.0, 1.0, None, [1.0, 1e200]) == pytest.approx(float(cb), rel=REL)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -182,18 +183,23 @@ class TestMomentRatio:
         env = VarianceEnvelope([2.0])
         assert moment_ratio(p, env) == pytest.approx(1.0 / 8.0)
 
-    def test_none_when_power_overflows(self):
+    def test_ratio_when_power_overflows(self):
+        # A_n / B_n^3 = 2 / 1e360 is below the float range: the log path
+        # gives the smallest positive float, not None.
         p = profile_t3([1.0, 1.0], [1.0, 1.0])
-        assert moment_ratio(p, VarianceEnvelope([1e120, 1.0])) is None
-        assert _ratio_scalar(3.0, 1.0, 1e120) is None
+        assert moment_ratio(p, VarianceEnvelope([1e120, 1.0])) == math.ulp(0.0)
+        assert _ratio_scalar(3.0, 1.0, 1e120) == math.ulp(0.0)
 
-    def test_none_when_power_underflows(self):
-        # B^t = (1e-150)^5 underflows to 0, and so does A_n(5).
+    def test_ratio_when_power_underflows(self):
+        # B^t = (1e-150)^5 underflows in floats, and so does A_n(5) = b^5:
+        # the stored total is an exact 0, so the ratio is 0.0.  A positive
+        # A_t over that B^t is 1e-300 / 1e-750, beyond the float range.
         b = 1e-150
         p = MomentProfile(1, 5.0, {5.0: [b**5], 3.0: [b**3], 2.0: [b**2]})
-        assert moment_ratio(p, VarianceEnvelope([b])) is None
-        assert _ratio_scalar(5.0, 0.0, b) is None
-        assert _ratio_scalar(5.0, 1e-300, b) is None
+        assert moment_ratio(p, VarianceEnvelope([b])) == 0.0
+        assert _ratio_scalar(5.0, 0.0, b) == 0.0
+        assert _ratio_scalar(5.0, 1e-300, b) == math.inf
+        assert _ratio_scalar(5.0, 1.0, 0.0) is None
 
     def test_none_when_t_unstored(self):
         p = MomentProfile(1, 1.0, {2.0: [1.0]})

@@ -1,0 +1,251 @@
+"""The log-domain constants path against a decimal oracle, a robustness
+sweep over the advertised domain, and the domain edges it mends."""
+
+import math
+
+import decimal_oracle as oracle
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rosenthal import (
+    C_A,
+    C_B,
+    MomentProfile,
+    Pin94Config,
+    PQSchedule,
+    RosenthalError,
+    VarianceEnvelope,
+    best_bound,
+    c_j,
+    c_tilde,
+    closed_form_2_3,
+    closed_form_3_4,
+    closed_form_min,
+    compute_constants,
+    corollary_bound,
+    hilbert_2_4,
+    moment_ratio,
+    optimize_lambdas,
+    pin94_bound,
+    required_exponents,
+    sum_norm_bound,
+    t3_bound,
+    theorem_bound,
+)
+from rosenthal.constants import (
+    MAX_T,
+    _log_balanced,
+    _log_coefficients,
+    _log_layers,
+)
+
+# Relative error of a value computed in logs: a few eps * |log value| (the
+# oracle comparison below found at most 8e-16 * |log value|).
+LOG_TOL = 4e-15
+REL = 1e-12
+
+EXPONENTS = [2.5, 3.0, 4.0, 7.3, 20.0, 41.7, MAX_T]
+SMOOTHNESS = [1.0, math.sqrt(2.0), 10.0, 1e3, 1e200]
+BETAS = [0.02, 0.5, 0.98]
+TOTALS = [(2.0, 0.7), (1e-300, 1e-100), (1e300, 1e10), (3.0, math.sqrt(3.0))]
+
+
+def assert_log_close(got, want):
+    """got is log x for the decimal x = want, within LOG_TOL * |log x|."""
+    ln = float(want.ln())
+    assert abs(got - ln) <= LOG_TOL * max(1.0, abs(ln)), (got, ln)
+
+
+def assert_float_close(got, want):
+    """got is the float of the decimal want: +inf beyond the float range."""
+    want = float(want)
+    if math.isinf(want):
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(want, rel=REL, abs=0.0)
+
+
+def unit_case(t, n=3, b=None):
+    """n steps with every moment and b_i equal to 1, or the given b."""
+    b = [1.0] * n if b is None else b
+    moments = {s: [1.0] * len(b) for s in required_exponents(t)}
+    return MomentProfile(len(b), t, moments), VarianceEnvelope(b)
+
+
+@pytest.mark.parametrize("t", EXPONENTS)
+@pytest.mark.parametrize("D", SMOOTHNESS)
+class TestDecimalOracle:
+    """Logs of c_j, c~_m, C_A, C_B and of the balanced aggregated value,
+    also where the value is beyond the float range."""
+
+    def test_layer_constants(self, t, D):
+        m = int(t // 2)
+        for beta in BETAS:
+            log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(beta), m)
+            c, top = oracle.layers(t, D, beta)
+            for got, want in zip(log_c + [log_top], c + [top]):
+                assert_log_close(got, want)
+            for j in range(m):
+                assert_float_close(c_j(t, D, PQSchedule.beta_family(beta), j), c[j])
+            assert_float_close(c_tilde(t, D, PQSchedule.beta_family(beta)), top)
+
+    def test_coefficients(self, t, D):
+        m = int(t // 2)
+        for beta in BETAS:
+            schedule = PQSchedule.beta_family(beta)
+            for lam in ([0.3 + 0.2 * j for j in range(m)], [1e-100] + [1e100] * (m - 1)):
+                log_c, log_top = _log_layers(t, D, schedule, m)
+                logs = _log_coefficients(t, log_c, log_top, [math.log(x) for x in lam])
+                want = oracle.coefficients(t, D, beta, lam)
+                for got, w in zip(logs, want):
+                    assert_log_close(got, w)
+                assert_float_close(C_A(t, D, schedule, lam), want[0])
+                assert_float_close(C_B(t, D, schedule, lam), want[1])
+
+    def test_balanced_value(self, t, D):
+        m = int(t // 2)
+        for beta in BETAS:
+            schedule = PQSchedule.beta_family(beta)
+            log_c, log_top = _log_layers(t, D, schedule, m)
+            for A_t, B in TOTALS:
+                log_A, log_Bt = math.log(A_t), t * math.log(B)
+                lam, value = oracle.balanced(t, D, beta, A_t, B)
+                assert_log_close(_log_balanced(t, log_c, log_top, log_A, log_Bt), value)
+                for got, want in zip(optimize_lambdas(t, D, schedule, A_t, B), lam):
+                    assert_float_close(got, want)
+
+
+# Inputs over the advertised domain: a per-case scale k in 1e-150..1e150,
+# b_i = k b0_i and a_i(s) = k^s a0_i(s), taken in logs and clipped to the
+# float range (a clipped profile is still a valid input).
+@st.composite
+def domain_cases(draw):
+    t = draw(st.floats(2.0, MAX_T))
+    n = draw(st.integers(1, 64))
+    D = draw(st.one_of(st.just(1.0), st.floats(1.0, 1e3)))
+    log_k = math.log(10.0) * draw(st.floats(-150.0, 150.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    log_b0 = rng.uniform(-1.0, 1.0, n)
+    b = np.exp(log_k + log_b0)
+    moments = {}
+    for s in required_exponents(t):
+        log_a = s * (log_k + log_b0) + rng.uniform(-1.0, 0.0, n)
+        moments[s] = np.exp(np.clip(log_a, -800.0, 709.0))
+    return MomentProfile(n, t, moments), VarianceEnvelope(b), D, seed
+
+
+def defined(call):
+    """Run a public call: a RosenthalError is a defined answer; any other
+    error fails the test.  Every float in the result is >= 0 or +inf."""
+    try:
+        result = call()
+    except RosenthalError:
+        return None
+    data = result.to_dict() if hasattr(result, "to_dict") else result
+    assert not any(math.isnan(x) or x < 0.0 for x in _floats(data)), data
+    return result
+
+
+def _floats(data):
+    if isinstance(data, float):
+        return [data]
+    if isinstance(data, dict):
+        return [x for v in data.values() for x in _floats(v)]
+    if isinstance(data, (list, tuple)):
+        return [x for v in data for x in _floats(v)]
+    return []
+
+
+class TestDomainSweep:
+    """Every public bound gives a finite value, +inf or a RosenthalError:
+    no NaN, no bare OverflowError or ZeroDivisionError, and no
+    RuntimeWarning (tier-1 turns those into errors)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(domain_cases())
+    def test_every_bound_is_defined(self, case):
+        prof, env, D, seed = case
+        t = prof.t
+        A_t, B = prof.total(t), env.total()
+        lam = 10.0 ** np.random.default_rng(seed).uniform(-300, 300, int(t // 2))
+        calls = [
+            lambda: theorem_bound(prof, env, D),
+            lambda: corollary_bound(prof, env, D),
+            lambda: corollary_bound(prof, env, D, lambdas=None),
+            lambda: corollary_bound(prof, env, D, lambdas=list(lam)),
+            lambda: best_bound(prof, env, D, pin94=Pin94Config()),
+            lambda: closed_form_2_3(t, D, A_t, B),
+            lambda: closed_form_3_4(t, D, A_t, B, 0.3),
+            lambda: closed_form_min(t, D, A_t, B),
+            lambda: hilbert_2_4(t, A_t, B),
+            lambda: t3_bound(D, A_t, B),
+            lambda: pin94_bound(t, D, A_t, B),
+            lambda: sum_norm_bound(t, A_t, prof.total(2.0)),
+            lambda: compute_constants(t, D, None, list(lam)),
+            lambda: optimize_lambdas(t, D, None, A_t, B),
+            lambda: moment_ratio(prof, env),
+        ]
+        for call in calls:
+            defined(call)
+        report = defined(lambda: best_bound(prof, env, D))
+        if report is not None:
+            assert report.value <= defined(lambda: theorem_bound(prof, env, D)).value
+
+
+class TestDomainEdges:
+    """Inputs inside the domain where the float path failed."""
+
+    def test_balanced_bounds_at_large_t(self):
+        prof, env = unit_case(28.0)
+        assert 0.0 < best_bound(prof, env, 1.0).value < math.inf
+        # At t = 60 the aggregated value is 7.0e309, beyond the float range.
+        prof, env = unit_case(MAX_T)
+        theorem = theorem_bound(prof, env, 1.0).value
+        assert 1.36e56 < theorem < 1.37e56
+        value = corollary_bound(prof, env, 1.0).value
+        assert value == float(oracle.balanced(MAX_T, 1.0, 0.5, 3.0, math.sqrt(3.0))[1])
+        assert value == math.inf >= theorem
+
+    def test_overflowing_envelope(self):
+        prof, env = unit_case(3.0, b=[1e120, 1.0])
+        assert corollary_bound(prof, env, 1.0).value == math.inf
+        best = best_bound(prof, env, 1.0)
+        assert best.method == "theorem"
+        assert best.value == pytest.approx(5.0, rel=REL)
+        # b_1^2 = 1e320 is beyond the float range; B_n is summed in units of b_1.
+        prof, env = unit_case(2.5, b=[1e160, 1.0])
+        assert 0.0 < theorem_bound(prof, env, 1.0).value < math.inf
+        assert env.total() == 1e160
+
+    def test_huge_smoothness(self):
+        prof, env = unit_case(5.0)
+        assert corollary_bound(prof, env, 1e200).value == math.inf
+        assert C_A(5.0, 1.0, None, [1.0, 1e200]) < math.inf
+
+    def test_underflow_is_the_smallest_float(self):
+        # b^5 and b^3 underflow to exact zeros in the stored moments, so the
+        # layered value is an exact 0; C_B B^5 is positive and below the
+        # float range.
+        b = 1e-150
+        prof = MomentProfile(1, 5.0, {5.0: [b**5], 3.0: [b**3], 2.0: [b**2]})
+        env = VarianceEnvelope([b])
+        assert theorem_bound(prof, env, 1.0).value == 0.0
+        assert corollary_bound(prof, env, 1.0).value == math.ulp(0.0)
+        assert best_bound(prof, env, 1.0).value == 0.0
+        # Two steps: the layered value itself is positive and below the range.
+        prof = MomentProfile(2, 5.0, {5.0: [0.0] * 2, 3.0: [1e-300] * 2, 2.0: [b**2] * 2})
+        env = VarianceEnvelope([b, b])
+        assert theorem_bound(prof, env, 1.0).value == math.ulp(0.0)
+
+    def test_sum_norm_bound_edges(self):
+        assert sum_norm_bound(5.0, 1.0, 1e200) == math.inf
+        assert 0.0 < sum_norm_bound(59.0, 1.0, 1.0) < math.inf
+
+    def test_extreme_beta_has_no_overflow(self):
+        # q(s) = beta^(3-s) = 1e-6^(-57) is beyond the float range.
+        schedule = PQSchedule.beta_family(1e-6)
+        assert c_j(MAX_T, 1.0, schedule, 0) == math.inf
+        assert 0.0 < c_j(4.0, 1.0, schedule, 0) < math.inf
