@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import _aggregate, _check_t, _log_balanced, _log_layers, _log_smooth
+from .constants import _aggregate, _check_t, _log_balanced_in_beta, _log_layers, _log_smooth
 from .core import (
     BOUND_METHODS,
     BoundReport,
@@ -108,11 +108,14 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -
     """The layered bound's report from the totals A_n(t) (None when t is
     unstored) and B_n.  Layer j is homogeneous of degree j in the weights
     b_i^2, so the kernel runs on (b_i / B_n)^2, which sum to 1, and layer j
-    carries B_n^{2j} in logs."""
+    carries B_n^{2j} in logs.  Where B_n itself is beyond the float range
+    the unit is max b_i instead, and the weights sum to at most n."""
     t = profile.t
     m = half_layers(t)
     log_c, log_top = _log_layers(_check_t(t), D, schedule, m)
     unit = B or 1.0  # B_n = 0 only without steps
+    if unit == math.inf:
+        unit = float(envelope.b.max())
     w = (envelope.b / unit) ** 2
     table = elementary_symmetric_suffix(w, max(m - 1, 0))
     prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
@@ -334,14 +337,11 @@ def pin94_bound(
 def _best_beta_corollary(t: float, D: float, A_t: float, B: float) -> BoundReport:
     """Aggregated bound with the schedule parameter tuned over the fixed
     grid plus golden-section refinement of the best cell, on log values
-    only."""
-    m = half_layers(t)
-    log_A, log_Bt = _log(A_t), t * _log(B)
-
-    def log_value_at(beta: float) -> float:
-        log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(beta), m)
-        return _log_balanced(t, log_c, log_top, log_A, log_Bt)
-
+    only.  The scan runs on :func:`_log_balanced_in_beta`: the terms free of
+    beta are computed once, and each beta costs O(m) scalar work with the
+    same IEEE operations, in the same order, as the one-schedule path, so
+    every value keeps its bits.  One report is built, at the winning beta."""
+    log_value_at = _log_balanced_in_beta(t, D, _log(A_t), t * _log(B))
     beta, _ = grid_then_golden_minimize(log_value_at, BETA_GRID, tol=1e-10)
     return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
 
@@ -381,11 +381,14 @@ def best_bound(
     ]
     if t > 3.0:
         candidates.append(_best_beta_corollary(t, D, A_t, B))
+    # The closed forms and pin94 take finite totals; where A_n(t) or B_n is
+    # beyond the float range, the two bounds above are already +inf.
+    finite = math.isfinite(A_t) and math.isfinite(B)
     candidates += [
         _closed_form(name, t, D, A_t, B)
         for name, form in _CLOSED_FORMS.items()
-        if form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert)
+        if finite and form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert)
     ]
-    if pin94 is not None:
+    if pin94 is not None and finite:
         candidates.append(pin94_bound(t, D, A_t, B, pin94))
     return min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))

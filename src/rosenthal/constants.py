@@ -21,10 +21,13 @@ r = A_n(t) / B_n^t.  The balanced value is then
 
     B_n^t (sum_{j<m} c_j r^{(t-2-2j)/(t-2)} / j! + c~_m prod_{j=1..m} 1/(t/2 - m + j)).
 
-Every constant is computed in logs, from one pass over the layers
-(``_log_layers``), and combined by log-sum-exp; D^2 enters as
-2 log D + log1p(x / D^2).  A value leaves the log domain only through
-``core._exp``, so it is +inf above the float range and never NaN.
+Every constant is computed in logs, from one recursion over the layers
+(``_layer_recursion``) on terms free of the schedule parameter beta
+(``_layer_terms``), and combined by log-sum-exp; D^2 enters as
+2 log D + log1p(x / D^2).  A scan over beta computes those terms once and
+repeats only the recursion (``_log_balanced_in_beta``).  A value leaves
+the log domain only through ``core._exp``, so it is +inf above the float
+range and never NaN.
 """
 
 from __future__ import annotations
@@ -74,27 +77,53 @@ def _log_smooth(x: float, D: float) -> float:
     return 2.0 * math.log(D) + math.log1p(x / D / D)
 
 
-def _log_pq(schedule: PQSchedule, s: float) -> tuple[float, float]:
-    """(log p(s), log q(s)); the beta family's powers are taken in logs, where
-    ``pq_eval``'s floats overflow for beta near 0 or 1 at large s."""
-    if schedule.kind == "beta_family" and s > 3.0:
-        return (3.0 - s) * math.log1p(-schedule.beta), (3.0 - s) * math.log(schedule.beta)
-    p, q = pq_eval(schedule, s)
-    return math.log(p), math.log(q)
+def _layer_terms(t: float, D: float, schedule: PQSchedule, m: int) -> list[tuple]:
+    """The terms of the first m layers free of the beta of a beta-family
+    schedule.  Layer j, at s = t-2j, gives (log(s-2+D^2), log(s-1),
+    log(s/2) + log(s-2+D^2), scale, fixed).  Above s = 3 the beta family's
+    (log p(s), log q(s)) is scale * (log(1-beta), log beta), scale = 3-s,
+    taken in logs where ``pq_eval``'s floats overflow for beta near 0 or 1
+    at large s; every other pair is ``fixed`` and scale is None."""
+    terms = []
+    for j in range(m):
+        s = t - 2.0 * j
+        if schedule.kind == "beta_family" and s > 3.0:
+            scale, fixed = 3.0 - s, None
+        else:
+            p, q = pq_eval(schedule, s)
+            scale, fixed = None, (math.log(p), math.log(q))
+        smooth = _log_smooth(t - 2 * j - 2, D)
+        log_head = math.log((t - 2 * j) / 2.0) + smooth
+        terms.append((smooth, math.log(t - 2 * j - 1), log_head, scale, fixed))
+    return terms
+
+
+def _layer_recursion(terms, beta: float | None) -> tuple[list[float], float]:
+    """(log c_0, ..., log c_{m-1}) and log c~_m from the ``terms`` of
+    :func:`_layer_terms` at one beta (None for a custom schedule), whose
+    two logs are taken once: O(m) scalar work, the one recursion every
+    constant uses."""
+    log_1mb, log_b = (math.log1p(-beta), math.log(beta)) if beta is not None else (0.0, 0.0)
+    log_c: list[float] = []
+    shared = 0.0
+    for smooth, log_odd, log_head, scale, fixed in terms:
+        log_p, log_q = fixed if scale is None else (scale * log_1mb, scale * log_b)
+        log_c.append(shared + smooth - log_odd + log_q)
+        shared += log_head + log_p
+    return log_c, shared
 
 
 def _log_layers(t: float, D: float, schedule, m: int) -> tuple[list[float], float]:
     """(log c_0, ..., log c_{m-1}) and the log of the product of the first m
-    layer factors (log c~_m when m = floor(t/2)), with one schedule
-    evaluation per layer.  Inputs are not checked."""
-    log_c: list[float] = []
-    shared = 0.0
-    for j in range(m):
-        log_p, log_q = _log_pq(schedule, t - 2.0 * j)
-        smooth = _log_smooth(t - 2 * j - 2, D)
-        log_c.append(shared + smooth - math.log(t - 2 * j - 1) + log_q)
-        shared += math.log((t - 2 * j) / 2.0) + smooth + log_p
-    return log_c, shared
+    layer factors (log c~_m when m = floor(t/2)).  Inputs are not checked.
+
+    It runs in two parts: :func:`_layer_terms`, free of the beta of a
+    beta-family schedule, then :func:`_layer_recursion` at that beta.  A
+    scan over beta computes the first part once and repeats only the
+    second; the split makes the same IEEE operations in the same order as
+    one pass over the layers, so every value keeps its bits."""
+    beta = schedule.beta if schedule.kind == "beta_family" else None
+    return _layer_recursion(_layer_terms(t, D, schedule, m), beta)
 
 
 def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
@@ -114,15 +143,15 @@ def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:
     return _exp(_log_layers(t, D, schedule or default_schedule(), half_layers(t))[1])
 
 
-def _log_top_term(t: float, log_top: float, m: int) -> float:
-    """log of c~_m prod_{j=1..m} 1/(t/2 - m + j), the C_B term free of lambda."""
-    return log_top - math.fsum([math.log(t / 2.0 - m + j) for j in range(1, m + 1)])
+def _log_top_norm(t: float, m: int) -> float:
+    """log prod_{j=1..m} (t/2 - m + j), which divides c~_m in C_B."""
+    return math.fsum([math.log(t / 2.0 - m + j) for j in range(1, m + 1)])
 
 
 def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, float]:
     """(log C_A, log C_B) from the log layer constants and log lambdas.  A
     term with a zero coefficient (t-2j-2 or 2j) is left out of its sum."""
-    log_a, log_b = [], [_log_top_term(t, log_top, len(log_c))]
+    log_a, log_b = [], [log_top - _log_top_norm(t, len(log_c))]
     for j, (lc, ll) in enumerate(zip(log_c, log_lam)):
         lc -= math.lgamma(j + 1)
         if t - 2 * j - 2 > 0.0:
@@ -132,18 +161,47 @@ def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, 
     return _log_sum(log_a), _log_sum(log_b)
 
 
-def _log_balanced(t: float, log_c, log_top: float, log_A: float, log_Bt: float) -> float:
-    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`.
-    With A_t, B > 0 this is one sum over the layers, since at the balance
-    B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!, x = (t-2-2j)/(t-2)."""
-    if not (math.isfinite(log_A) and math.isfinite(log_Bt)):  # every lambda_j = 1
+def _balance_terms(t: float, m: int, log_A: float, log_Bt: float):
+    """The schedule-free terms of :func:`_log_balanced` at one (t, m, log A_t,
+    log B^t): (t, log A_t, log B^t, log prod_{j=1..m} (t/2-m+j), rows), with
+    rows[j] = (log j!, x log A_t, (1-x) log B^t), x = (t-2-2j)/(t-2); rows is
+    None where A_t or B^t is 0 or +inf."""
+    if not (math.isfinite(log_A) and math.isfinite(log_Bt)):
+        return t, log_A, log_Bt, None, None
+    rows = []
+    for j in range(m):
+        x = (t - 2 - 2 * j) / (t - 2)
+        rows.append((math.lgamma(j + 1), x * log_A, (1.0 - x) * log_Bt))
+    return t, log_A, log_Bt, _log_top_norm(t, m), rows
+
+
+def _balanced_sum(balance, log_c, log_top: float) -> float:
+    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`,
+    from the ``balance`` of :func:`_balance_terms` and one schedule's log
+    constants.  With A_t, B > 0 this is one sum over the layers, since at the
+    balance B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!."""
+    t, log_A, log_Bt, log_norm, rows = balance
+    if rows is None:  # every lambda_j = 1
         log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0] * len(log_c))
         return _log_sum([log_ca + log_A, log_cb + log_Bt])
-    terms = [_log_top_term(t, log_top, len(log_c)) + log_Bt]
-    for j, lc in enumerate(log_c):
-        x = (t - 2 - 2 * j) / (t - 2)
-        terms.append(lc - math.lgamma(j + 1) + x * log_A + (1.0 - x) * log_Bt)
+    terms = [log_top - log_norm + log_Bt]
+    terms += [lc - log_fact + a + b for lc, (log_fact, a, b) in zip(log_c, rows)]
     return _log_sum(terms)
+
+
+def _log_balanced(t: float, log_c, log_top: float, log_A: float, log_Bt: float) -> float:
+    """:func:`_balanced_sum` of one schedule's log constants."""
+    return _balanced_sum(_balance_terms(t, len(log_c), log_A, log_Bt), log_c, log_top)
+
+
+def _log_balanced_in_beta(t: float, D: float, log_A: float, log_Bt: float):
+    """beta -> :func:`_log_balanced` at ``PQSchedule.beta_family(beta)``, bit
+    for bit.  The terms free of beta are computed once; each call runs only
+    :func:`_layer_recursion` and :func:`_balanced_sum`, O(m) scalar work."""
+    m = half_layers(t)
+    terms = _layer_terms(t, D, default_schedule(), m)
+    balance = _balance_terms(t, m, log_A, log_Bt)
+    return lambda beta: _balanced_sum(balance, *_layer_recursion(terms, beta))
 
 
 def optimize_lambdas(

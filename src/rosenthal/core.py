@@ -295,10 +295,11 @@ class VarianceEnvelope:
         return int(self.b.shape[0])
 
     def cumulative_array(self) -> np.ndarray:
-        """(B_0, B_1, ..., B_n)."""
+        """(B_0, B_1, ..., B_n), summed in units of max b_i as in :meth:`total`."""
+        top = float(self.b.max(initial=0.0))
         out = np.zeros(self.n + 1)
-        np.cumsum(self.b * self.b, out=out[1:])
-        return np.sqrt(out)
+        np.cumsum((self.b / top) ** 2, out=out[1:])
+        return top * np.sqrt(out)
 
     def total(self) -> float:
         """B_n, summed in units of max b_i so that no b_i^2 overflows."""

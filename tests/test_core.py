@@ -74,6 +74,12 @@ class TestCumulativeB:
         assert B[0] == 0.0
         assert np.all(np.diff(B) >= 0)
 
+    def test_cumulative_array_without_overflow(self):
+        # b_1^2 = 1e320 is beyond the float range; B_k is summed in units of b_1.
+        env = VarianceEnvelope([1e160, 1.0])
+        assert list(env.cumulative_array()) == [0.0, 1e160, 1e160]
+        assert env.cumulative_array()[-1] == env.total()
+
 
 class TestValidation:
     def test_smoothness_below_one(self):

@@ -1,12 +1,15 @@
 """The log-domain constants path against a decimal oracle, a robustness
-sweep over the advertised domain, and the domain edges it mends."""
+sweep over the advertised domain, the domain edges it mends, and the beta
+scan against the one-schedule path, bit for bit."""
 
 import math
+from unittest import mock
 
 import decimal_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import make_valid_case
 from hypothesis import strategies as st
 
 from rosenthal import (
@@ -34,12 +37,17 @@ from rosenthal import (
     t3_bound,
     theorem_bound,
 )
+from rosenthal.bounds import BETA_GRID, _aggregated, _best_beta_corollary
 from rosenthal.constants import (
     MAX_T,
     _log_balanced,
+    _log_balanced_in_beta,
     _log_coefficients,
     _log_layers,
 )
+from rosenthal.core import _log, _log_sum
+from rosenthal.optimize import grid_then_golden_minimize
+from rosenthal.schedules import pq_eval
 
 # Relative error of a value computed in logs: a few eps * |log value| (the
 # oracle comparison below found at most 8e-16 * |log value|).
@@ -244,8 +252,107 @@ class TestDomainEdges:
         assert sum_norm_bound(5.0, 1.0, 1e200) == math.inf
         assert 0.0 < sum_norm_bound(59.0, 1.0, 1.0) < math.inf
 
+    @pytest.mark.parametrize("t", [3.0, 6.5])
+    def test_envelope_total_beyond_float_range(self, t):
+        # B_n = 2.1e308 is +inf; the layered kernel takes max b_i as its unit.
+        prof, env = unit_case(t, b=[1.5e308, 1.5e308])
+        assert env.total() == math.inf
+        for bound in (theorem_bound, corollary_bound, best_bound):
+            assert bound(prof, env, 1.0).value == math.inf
+
+    def test_moment_total_beyond_float_range(self):
+        # A_n(3) = 2e308 is +inf: the closed forms, which take finite totals,
+        # are left out of best_bound, and every other candidate is +inf.
+        prof = MomentProfile(2, 3.0, {3.0: [1e308, 1e308], 2.0: [1.0, 1.0]})
+        env = VarianceEnvelope([1.0, 1.0])
+        assert best_bound(prof, env, 1.0, pin94=Pin94Config()).value == math.inf
+
     def test_extreme_beta_has_no_overflow(self):
         # q(s) = beta^(3-s) = 1e-6^(-57) is beyond the float range.
         schedule = PQSchedule.beta_family(1e-6)
         assert c_j(MAX_T, 1.0, schedule, 0) == math.inf
         assert 0.0 < c_j(4.0, 1.0, schedule, 0) < math.inf
+
+
+# Totals over 1e-150..1e150, with A_t = 0, and with B = +inf, where the
+# balanced value takes every lambda_j = 1; B^t itself is beyond the float
+# range for t log10(B) > 308.
+def _totals():
+    scale = st.floats(-150.0, 150.0).map(lambda x: 10.0**x)
+    return st.tuples(st.one_of(st.just(0.0), scale), st.one_of(st.just(math.inf), scale))
+
+
+class TestScanParity:
+    """The beta scan runs on terms computed once per call, with the same
+    IEEE operations in the same order as the one-schedule path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.floats(3.0, MAX_T, exclude_min=True),
+        D=st.one_of(st.just(1.0), st.floats(1.0, 1e200)),
+        beta=st.floats(0.02, 0.98),
+        totals=_totals(),
+    )
+    def test_scan_value_is_the_one_schedule_value(self, t, D, beta, totals):
+        A_t, B = totals
+        log_A, log_Bt = _log(A_t), t * _log(B)
+        m = int(t // 2)
+        log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(beta), m)
+        want = _log_balanced(t, log_c, log_top, log_A, log_Bt)
+        assert _log_balanced_in_beta(t, D, log_A, log_Bt)(beta) == want
+
+    def test_best_bound_matches_one_pass_scan(self):
+        rng = np.random.default_rng(2024)
+        for k in range(500):
+            t = float(rng.uniform(3.0, MAX_T)) if k % 5 else float(2 * rng.integers(2, 31))
+            D = 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 10.0))
+            prof, env = make_valid_case(rng, t=t, max_n=6)
+            A_t, B = prof.total(t), env.total()
+            assert _best_beta_corollary(t, D, A_t, B).to_dict() == ref_scan(t, D, A_t, B).to_dict()
+            with mock.patch("rosenthal.bounds._best_beta_corollary", ref_scan):
+                want = best_bound(prof, env, D).to_dict()
+            assert best_bound(prof, env, D).to_dict() == want
+
+
+# The beta scan as one pass per beta: a PQSchedule, every log of every layer
+# and the whole balanced sum at each point.
+
+
+def ref_log_layers(t, D, schedule, m):
+    log_c, shared = [], 0.0
+    for j in range(m):
+        s = t - 2.0 * j
+        if s > 3.0:
+            log_p = (3.0 - s) * math.log1p(-schedule.beta)
+            log_q = (3.0 - s) * math.log(schedule.beta)
+        else:
+            p, q = pq_eval(schedule, s)
+            log_p, log_q = math.log(p), math.log(q)
+        smooth = 2.0 * math.log(D) + math.log1p((t - 2 * j - 2) / D / D)
+        log_c.append(shared + smooth - math.log(t - 2 * j - 1) + log_q)
+        shared += math.log((t - 2 * j) / 2.0) + smooth + log_p
+    return log_c, shared
+
+
+def ref_log_balanced(t, log_c, log_top, log_A, log_Bt):
+    if not (math.isfinite(log_A) and math.isfinite(log_Bt)):
+        log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0] * len(log_c))
+        return _log_sum([log_ca + log_A, log_cb + log_Bt])
+    m = len(log_c)
+    terms = [log_top - math.fsum([math.log(t / 2.0 - m + j) for j in range(1, m + 1)]) + log_Bt]
+    for j, lc in enumerate(log_c):
+        x = (t - 2 - 2 * j) / (t - 2)
+        terms.append(lc - math.lgamma(j + 1) + x * log_A + (1.0 - x) * log_Bt)
+    return _log_sum(terms)
+
+
+def ref_scan(t, D, A_t, B):
+    m = int(t // 2)
+    log_A, log_Bt = _log(A_t), t * _log(B)
+
+    def log_value_at(beta):
+        log_c, log_top = ref_log_layers(t, D, PQSchedule.beta_family(beta), m)
+        return ref_log_balanced(t, log_c, log_top, log_A, log_Bt)
+
+    beta, _ = grid_then_golden_minimize(log_value_at, BETA_GRID, tol=1e-10)
+    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
