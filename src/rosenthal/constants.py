@@ -24,14 +24,20 @@ r = A_n(t) / B_n^t.  The balanced value is then
 Every constant is computed in logs, from one recursion over the layers
 (``_layer_recursion``) on terms free of the schedule parameter beta
 (``_layer_terms``), and combined by log-sum-exp; D^2 enters as
-2 log D + log1p(x / D^2).  A scan over beta computes those terms once and
-repeats only the recursion (``_log_balanced_in_beta``).  A value leaves
-the log domain only through ``core._exp``, so it is +inf above the float
-range and never NaN.
+2 log D + log1p(x / D^2).  Each c_j is then K_j + alpha_j log(1-beta) +
+gamma_j log beta with alpha_j, gamma_j <= 0, so the log of the balanced
+value is a log-sum-exp of such terms and convex in beta.  The beta scan
+of ``best_bound`` takes (K, alpha, gamma) once per call
+(``_log_balanced_beta_terms``) and minimizes by Newton on [0.02, 0.98];
+``_log_balanced_in_beta`` evaluates the same value at one beta with the
+IEEE operations of the one-schedule path, for the reference grid scan.
+A value leaves the log domain only through ``core._exp``, so it is +inf
+above the float range and never NaN.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -148,17 +154,24 @@ def _log_top_norm(t: float, m: int) -> float:
     return math.fsum([math.log(t / 2.0 - m + j) for j in range(1, m + 1)])
 
 
-def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, float]:
-    """(log C_A, log C_B) from the log layer constants and log lambdas.  A
-    term with a zero coefficient (t-2j-2 or 2j) is left out of its sum."""
-    log_a, log_b = [], [log_top - _log_top_norm(t, len(log_c))]
+def _coefficient_terms(t: float, log_c, log_top: float, log_lam):
+    """The terms of log C_A and of log C_B as (log, layer) pairs, layer m
+    for c~_m.  A term with a zero coefficient (t-2j-2 or 2j) is left out."""
+    m = len(log_c)
+    log_a, log_b = [], [(log_top - _log_top_norm(t, m), m)]
     for j, (lc, ll) in enumerate(zip(log_c, log_lam)):
         lc -= math.lgamma(j + 1)
         if t - 2 * j - 2 > 0.0:
-            log_a.append(lc + math.log((t - 2 * j - 2) / (t - 2)) - 2 * j * ll)
+            log_a.append((lc + math.log((t - 2 * j - 2) / (t - 2)) - 2 * j * ll, j))
         if j:
-            log_b.append(lc + math.log(2 * j / (t - 2)) + (t - 2 * j - 2) * ll)
-    return _log_sum(log_a), _log_sum(log_b)
+            log_b.append((lc + math.log(2 * j / (t - 2)) + (t - 2 * j - 2) * ll, j))
+    return log_a, log_b
+
+
+def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, float]:
+    """(log C_A, log C_B) from the log layer constants and log lambdas."""
+    log_a, log_b = _coefficient_terms(t, log_c, log_top, log_lam)
+    return _log_sum([x for x, _ in log_a]), _log_sum([x for x, _ in log_b])
 
 
 def _balance_terms(t: float, m: int, log_A: float, log_Bt: float):
@@ -175,18 +188,32 @@ def _balance_terms(t: float, m: int, log_A: float, log_Bt: float):
     return t, log_A, log_Bt, _log_top_norm(t, m), rows
 
 
-def _balanced_sum(balance, log_c, log_top: float) -> float:
-    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`,
-    from the ``balance`` of :func:`_balance_terms` and one schedule's log
-    constants.  With A_t, B > 0 this is one sum over the layers, since at the
-    balance B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!."""
+def _balanced_terms(balance, log_c, log_top: float) -> list[tuple[float, int]]:
+    """The terms of C_A A_t + C_B B^t at the lambdas of
+    :func:`optimize_lambdas` as (log, layer) pairs, layer m for c~_m, from
+    the ``balance`` of :func:`_balance_terms` and one schedule's log
+    constants.  With A_t, B > 0 there is one term per layer, since at the
+    balance B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!;
+    otherwise every lambda_j = 1 and they are the terms of C_A A_t and of
+    C_B B^t."""
     t, log_A, log_Bt, log_norm, rows = balance
-    if rows is None:  # every lambda_j = 1
+    if rows is None:
+        log_a, log_b = _coefficient_terms(t, log_c, log_top, [0.0] * len(log_c))
+        return [(x + log_A, j) for x, j in log_a] + [(x + log_Bt, j) for x, j in log_b]
+    terms = [(log_top - log_norm + log_Bt, len(log_c))]
+    terms += [(lc - f + a + b, j) for j, (lc, (f, a, b)) in enumerate(zip(log_c, rows))]
+    return terms
+
+
+def _balanced_sum(balance, log_c, log_top: float) -> float:
+    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`:
+    the log-sum-exp of :func:`_balanced_terms`, taken per coefficient where
+    every lambda_j = 1."""
+    t, log_A, log_Bt, _, rows = balance
+    if rows is None:
         log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0] * len(log_c))
         return _log_sum([log_ca + log_A, log_cb + log_Bt])
-    terms = [log_top - log_norm + log_Bt]
-    terms += [lc - log_fact + a + b for lc, (log_fact, a, b) in zip(log_c, rows)]
-    return _log_sum(terms)
+    return _log_sum([x for x, _ in _balanced_terms(balance, log_c, log_top)])
 
 
 def _log_balanced(t: float, log_c, log_top: float, log_A: float, log_Bt: float) -> float:
@@ -202,6 +229,23 @@ def _log_balanced_in_beta(t: float, D: float, log_A: float, log_Bt: float):
     terms = _layer_terms(t, D, default_schedule(), m)
     balance = _balance_terms(t, m, log_A, log_Bt)
     return lambda beta: _balanced_sum(balance, *_layer_recursion(terms, beta))
+
+
+def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float):
+    """The value of :func:`_log_balanced_in_beta` as the log-sum-exp of
+    K + alpha log(1-beta) + gamma log beta over the returned (K, alpha,
+    gamma), equal up to rounding.  Layer j's log c_j carries the scale of
+    each layer k < j times log(1-beta) and its own scale times log beta,
+    and log c~_m every scale times log(1-beta); the scales 3-s are < 0, so
+    alpha, gamma <= 0 and the value is convex in beta and in its logit."""
+    m = half_layers(t)
+    terms = _layer_terms(t, D, default_schedule(), m)
+    scales = [0.0 if scale is None else scale for *_, scale, _ in terms]
+    alpha = list(itertools.accumulate(scales, initial=0.0))
+    gamma = scales + [0.0]
+    # beta = None sets both logs of beta to 0, leaving the K of each c_j.
+    balanced = _balanced_terms(_balance_terms(t, m, log_A, log_Bt), *_layer_recursion(terms, None))
+    return [(k, alpha[j], gamma[j]) for k, j in balanced]
 
 
 def optimize_lambdas(

@@ -306,6 +306,12 @@ class VarianceEnvelope:
         top = float(self.b.max(initial=0.0))
         return top * math.sqrt(float(np.sum((self.b / top) ** 2)))
 
+    def _log_total(self) -> float:
+        """log B_n in units of max b_i, as in :meth:`total`: finite also where
+        B_n itself is beyond the float range.  Needs n >= 1."""
+        top = float(self.b.max())
+        return math.log(top) + 0.5 * math.log(float(np.sum((self.b / top) ** 2)))
+
     def to_dict(self) -> dict:
         return {"b": [float(v) for v in self.b]}
 
@@ -387,15 +393,19 @@ def _exp(x: float) -> float:
     return math.exp(x) or (math.ulp(0.0) if x > -math.inf else 0.0)
 
 
-def _ratio_scalar(t: float, A_t: float, B: float) -> float | None:
-    """A_t / B^t, evaluated in logs; None when B = 0."""
+def _ratio_scalar(t: float, A_t: float, B: float, envelope=None) -> float | None:
+    """A_t / B^t, evaluated in logs; None when B = 0.  Where B = B_n of
+    ``envelope`` is beyond the float range, log B_n is taken from the
+    envelope in units of max b_i, so a positive ratio below the float range
+    reads the smallest positive float, not 0."""
     if B <= 0.0:
         return None
-    return _exp(_log(A_t) - t * math.log(B))
+    log_B = envelope._log_total() if B == math.inf and envelope is not None else math.log(B)
+    return _exp(_log(A_t) - t * log_B)
 
 
 def moment_ratio(profile: MomentProfile, envelope: VarianceEnvelope) -> float | None:
     """A_n(t) / B_n^t, or None when undefined (B_n = 0 or t unstored)."""
     if not profile.has_exponent(profile.t):
         return None
-    return _ratio_scalar(profile.t, profile.total(profile.t), envelope.total())
+    return _ratio_scalar(profile.t, profile.total(profile.t), envelope.total(), envelope)

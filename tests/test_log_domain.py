@@ -1,6 +1,7 @@
 """The log-domain constants path against a decimal oracle, a robustness
 sweep over the advertised domain, the domain edges it mends, and the beta
-scan against the one-schedule path, bit for bit."""
+scan: its objective against the one-schedule path, bit for bit, and its
+Newton solve against the grid-and-golden scan."""
 
 import math
 from unittest import mock
@@ -41,12 +42,17 @@ from rosenthal.bounds import BETA_GRID, _aggregated, _best_beta_corollary
 from rosenthal.constants import (
     MAX_T,
     _log_balanced,
+    _log_balanced_beta_terms,
     _log_balanced_in_beta,
     _log_coefficients,
     _log_layers,
 )
-from rosenthal.core import _log, _log_sum
-from rosenthal.optimize import grid_then_golden_minimize
+from rosenthal.core import BOUND_METHODS, _log, _log_sum
+from rosenthal.optimize import (
+    _log_sum_exp_derivatives,
+    _minimize_log_sum_exp_beta,
+    grid_then_golden_minimize,
+)
 from rosenthal.schedules import pq_eval
 
 # Relative error of a value computed in logs: a few eps * |log value| (the
@@ -258,7 +264,11 @@ class TestDomainEdges:
         prof, env = unit_case(t, b=[1.5e308, 1.5e308])
         assert env.total() == math.inf
         for bound in (theorem_bound, corollary_bound, best_bound):
-            assert bound(prof, env, 1.0).value == math.inf
+            report = bound(prof, env, 1.0)
+            assert report.value == math.inf
+            # A_n(t) / B_n^t is about 1e-925: below the float range, not 0.
+            assert report.ratio_r == math.ulp(0.0)
+        assert moment_ratio(prof, env) == math.ulp(0.0)
 
     def test_moment_total_beyond_float_range(self):
         # A_n(3) = 2e308 is +inf: the closed forms, which take finite totals,
@@ -302,20 +312,137 @@ class TestScanParity:
         assert _log_balanced_in_beta(t, D, log_A, log_Bt)(beta) == want
 
     def test_best_bound_matches_one_pass_scan(self):
+        # The Newton scan is never worse than the grid-and-golden scan beyond
+        # rounding, stays on the grid's span, reports the schedule it
+        # evaluated, and best_bound takes it as one of its candidates.
         rng = np.random.default_rng(2024)
         for k in range(500):
             t = float(rng.uniform(3.0, MAX_T)) if k % 5 else float(2 * rng.integers(2, 31))
             D = 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 10.0))
             prof, env = make_valid_case(rng, t=t, max_n=6)
             A_t, B = prof.total(t), env.total()
-            assert _best_beta_corollary(t, D, A_t, B).to_dict() == ref_scan(t, D, A_t, B).to_dict()
-            with mock.patch("rosenthal.bounds._best_beta_corollary", ref_scan):
-                want = best_bound(prof, env, D).to_dict()
-            assert best_bound(prof, env, D).to_dict() == want
+            scanned = _best_beta_corollary(t, D, A_t, B)
+            assert scanned.value <= ref_scan(t, D, A_t, B).value * (1.0 + REL)
+            beta = scanned.parameters["schedule"]["beta"]
+            assert BETA_GRID[0] <= beta <= BETA_GRID[-1]
+            plain = corollary_bound(prof, env, D, PQSchedule.beta_family(beta), lambdas="optimize")
+            assert scanned.to_dict() == plain.to_dict()
+            candidates = [theorem_bound(prof, env, D), corollary_bound(prof, env, D), scanned]
+            if t <= 4.0:
+                candidates.append(closed_form_min(t, D, A_t, B))
+                if D == 1.0:
+                    candidates.append(hilbert_2_4(t, A_t, B))
+            want = min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))
+            assert best_bound(prof, env, D).to_dict() == want.to_dict()
 
 
-# The beta scan as one pass per beta: a PQSchedule, every log of every layer
-# and the whole balanced sum at each point.
+def scan_case(rng):
+    """(t, D, A_t, B) of a random valid case with t in (3, MAX_T)."""
+    t = float(rng.uniform(3.0, MAX_T))
+    D = float(rng.choice([1.0, rng.uniform(1.0, 10.0)]))
+    prof, env = make_valid_case(rng, t=t, max_n=6)
+    return t, D, prof.total(t), env.total()
+
+
+class TestBetaNewton:
+    """The safeguarded Newton solve of the beta scan on the convex log of the
+    balanced value."""
+
+    def test_linear_terms_are_the_objective(self):
+        # F of the (K, alpha, gamma) terms is the closure's log value; F' and
+        # F'' in the logit u match central differences of it.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            t, D, A_t, B = scan_case(rng)
+            log_A, log_Bt = _log(A_t), t * _log(B)
+            closure = _log_balanced_in_beta(t, D, log_A, log_Bt)
+            terms = _log_balanced_beta_terms(t, D, log_A, log_Bt)
+            u = float(rng.uniform(-3.8, 3.8))
+            f, d1, d2 = _log_sum_exp_derivatives(terms, expit(u))
+            assert abs(f - closure(expit(u))) <= LOG_TOL * max(1.0, abs(f))
+            h, size = 1e-4, max(1.0, abs(f))
+            lo, mid, hi = (closure(expit(u + k * h)) for k in (-1, 0, 1))
+            assert d1 == pytest.approx((hi - lo) / (2 * h), rel=1e-6, abs=1e-6 * size)
+            assert d2 == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-3, abs=1e-6 * size)
+
+    def test_one_term_has_its_exact_minimizer(self):
+        # alpha log(1-beta) + gamma log beta is least at beta = gamma/(alpha+gamma).
+        rng = np.random.default_rng(8)
+        lo, hi = BETA_GRID[0], BETA_GRID[-1]
+        for _ in range(200):
+            alpha, gamma = -(10.0 ** rng.uniform(-2.0, 3.0, 2))
+            beta = _minimize_log_sum_exp_beta([(float(rng.normal()), alpha, gamma)], lo, hi)
+            exact = min(max(gamma / (alpha + gamma), lo), hi)
+            assert beta == pytest.approx(exact, rel=1e-7)
+
+    def test_scanned_beta_is_optimal(self):
+        # Interior: no nearby beta does better.  Endpoint: the slope in u
+        # points out of [0.02, 0.98].
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            t, D, A_t, B = scan_case(rng)
+            log_A, log_Bt = _log(A_t), t * _log(B)
+            closure = _log_balanced_in_beta(t, D, log_A, log_Bt)
+            beta = _best_beta_corollary(t, D, A_t, B).parameters["schedule"]["beta"]
+            value = closure(beta)
+            if beta in (BETA_GRID[0], BETA_GRID[-1]):
+                terms = _log_balanced_beta_terms(t, D, log_A, log_Bt)
+                slope = _log_sum_exp_derivatives(terms, beta)[1]
+                assert slope >= 0.0 if beta == BETA_GRID[0] else slope <= 0.0
+                inward = beta * (1.0 + 1e-6 if beta == BETA_GRID[0] else 1.0 - 1e-6)
+                assert closure(inward) >= value
+            else:
+                assert closure(beta * (1.0 - 1e-6)) >= value
+                assert closure(beta * (1.0 + 1e-6)) >= value
+
+    @pytest.mark.parametrize("A_t, end", [(0.0, 0), (1e10, -1)])
+    def test_endpoint_minimum(self, A_t, end):
+        # At m = 1 with A_t = 0 the value is C_B B^t, increasing in beta; with
+        # A_t >> B^t the layer-0 term, decreasing in beta, dominates.
+        t, B = 3.5, 1.3
+        report = _best_beta_corollary(t, 1.0, A_t, B)
+        assert report.parameters["schedule"]["beta"] == BETA_GRID[end]
+        assert report.to_dict() == ref_scan(t, 1.0, A_t, B).to_dict()
+        terms = _log_balanced_beta_terms(t, 1.0, _log(A_t), t * math.log(B))
+        slope = _log_sum_exp_derivatives(terms, BETA_GRID[end])[1]
+        assert slope > 0.0 if end == 0 else slope < 0.0
+
+    @pytest.mark.parametrize("t", [4.5, 11.0, 37.2])
+    def test_degenerate_totals(self, t):
+        # A_t = 0 still scans; where A_t or B is +inf every beta gives +inf,
+        # and the scan returns the low end, as the grid scan does.
+        scanned = _best_beta_corollary(t, 2.0, 0.0, 1.7)
+        assert scanned.value <= ref_scan(t, 2.0, 0.0, 1.7).value * (1.0 + REL)
+        assert 0.0 < scanned.value < math.inf
+        for A_t, B in ((math.inf, 1.7), (1.0, math.inf), (0.0, math.inf)):
+            report = _best_beta_corollary(t, 2.0, A_t, B)
+            assert report.parameters["schedule"]["beta"] == BETA_GRID[0]
+            assert report.value == math.inf
+            assert ref_scan(t, 2.0, A_t, B).parameters["schedule"]["beta"] == BETA_GRID[0]
+
+    def test_evaluation_cost(self):
+        calls = []
+
+        def counting(terms, beta):
+            calls.append(beta)
+            return _log_sum_exp_derivatives(terms, beta)
+
+        rng = np.random.default_rng(10)
+        with mock.patch("rosenthal.optimize._log_sum_exp_derivatives", counting):
+            for _ in range(300):
+                t, D, A_t, B = scan_case(rng)
+                calls.clear()
+                _best_beta_corollary(t, D, A_t, B)
+                assert 1 <= len(calls) <= 20, (t, D, len(calls))
+
+
+def expit(u):
+    return 1.0 / (1.0 + math.exp(-u))
+
+
+# The grid-and-golden scan as one pass per beta: a PQSchedule, every log of
+# every layer and the whole balanced sum at each point.  It is the reference
+# the Newton scan is checked against.
 
 
 def ref_log_layers(t, D, schedule, m):
