@@ -26,6 +26,26 @@ __all__ = [
 ]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k u_k v_k over the trailing axis in one pass: ``.sum(axis=-1)``
+    over a short trailing axis runs its inner loop once per row."""
+    return np.einsum("...k,...k->...", u, v)
+
+
+def _int_power(a: np.ndarray, m: int) -> np.ndarray:
+    """a**m for an integer m >= 1 by repeated squaring.  Every intermediate
+    lies between a and a**m, so none overflows or underflows unless a**m
+    does, and the relative error is at most about (m - 1) units of rounding."""
+    out = None
+    while True:
+        if m & 1:
+            out = a if out is None else out * a
+        m >>= 1
+        if not m:
+            return out
+        a = a * a
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Euclidean R^dim; two-smooth with constant exactly 1."""
@@ -42,7 +62,7 @@ class HilbertSpace:
 
     def norm(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return np.sqrt((v * v).sum(axis=-1))
+        return np.sqrt(_dot(v, v))
 
     def norm_sq_derivative(self, x, y) -> np.ndarray:
         """Directional derivative of ||.||^2 at x in direction y: 2 <x, y>."""
@@ -70,8 +90,20 @@ class LpSpace:
 
     def norm(self, v) -> np.ndarray:
         a = np.abs(np.asarray(v, dtype=float))
-        a **= self.p
-        return a.sum(axis=-1) ** (1.0 / self.p)
+        p = float(self.p)
+        if not p.is_integer():
+            return np.einsum("...k->...", a**p) ** (1.0 / p)
+        # |v_k|^p = h_k * r_k, multiplied out and never through libm pow; the
+        # last product is taken inside the trailing-axis sum.
+        h = _int_power(a, int(p) // 2)
+        total = _dot(h, h if p % 2 == 0 else h * a)
+        if p == 2.0:
+            return np.sqrt(total)
+        if p == 3.0:
+            return np.cbrt(total)
+        if p == 4.0:
+            return np.sqrt(np.sqrt(total))
+        return total ** (1.0 / p)
 
     def norm_sq_derivative(self, x, y) -> np.ndarray:
         """2 ||x||_p^(2-p) sum_k |x_k|^(p-1) sgn(x_k) y_k, and 0 at x = 0."""

@@ -15,6 +15,14 @@ Each Philox block is simulated in row tiles of about ``_TILE_ELEMS``
 floats, so the working memory of a simulation is O(tile) on top of its
 outputs.  A tile continues the block's generator where the previous tile
 stopped, so no output bit depends on the tile size.
+
+The sphere models (``hilbert``, ``lp``) form the step sum
+S = sum_i b_i G_i / ||G_i|| as one ``einsum`` of the drawn tile against the
+(rows, n) factors b_i / ||G_i||, without writing to the tile.  This form
+replaced dividing and scaling the whole tile and then summing over its
+steps; their outputs moved by rounding only (the final norms stay within
+1e-13 * sum_i b_i of the old form on the same draws), and they stay bitwise
+identical across thread counts and tile sizes.
 """
 
 from __future__ import annotations
@@ -203,7 +211,14 @@ class TwoPointModel(MartingaleModel):
 
 class _SphereModel(MartingaleModel):
     """Steps b_i * V_i with V_i = G / ||G|| for a standard Gaussian G in the
-    subclass's ``space`` (a ``checks`` space of dimension ``dim``)."""
+    subclass's ``space`` (a ``checks`` space of dimension ``dim``).
+
+    A block draws G as one (rows, n, dim) array.  The factors
+    f_ri = b_i / ||G_ri|| (b_i where G_ri = 0) live on the small (rows, n)
+    array, and S_r = sum_i f_ri G_ri is a single ``einsum`` that leaves G
+    untouched; each output row depends on its own row of G alone, in an
+    order fixed by n and dim, so the bits do not depend on the tile shape.
+    """
 
     @property
     def smoothness(self) -> float:
@@ -217,9 +232,7 @@ class _SphereModel(MartingaleModel):
         g = gen.standard_normal((size, self.n, self.dim))
         nrm = self.space.norm(g)
         nrm[nrm == 0.0] = 1.0
-        g /= nrm[..., None]
-        g *= self.scale[None, :, None]
-        s = g.sum(axis=1)
+        s = np.einsum("ijk,ij->ik", g, self.scale / nrm)
         xnorm = np.broadcast_to(self.scale, (size, self.n))
         return self.space.norm(s), xnorm, (s if keep_final else None)
 
@@ -277,13 +290,19 @@ class DependentModel(MartingaleModel):
     _min_tile_rows = 1024
 
     def _simulate_block(self, gen, size, keep_final, increments=True):
-        eps = _signs(gen, (size, self.n))
+        # Step i reads its signs from a contiguous row of eps.T.
+        eps = np.ascontiguousarray(_signs(gen, (size, self.n)).T)
         s = np.zeros(size)
-        xnorm = np.empty((size, self.n))
+        sigma = np.empty(size)
+        xnorm = np.empty((size, self.n)) if increments else None
         for i in range(self.n):
-            sigma = self.scale[i] * np.abs(np.cos(np.abs(s)))
-            xnorm[:, i] = sigma
-            s = s + sigma * eps[:, i]
+            np.abs(s, out=sigma)
+            np.cos(sigma, out=sigma)
+            np.abs(sigma, out=sigma)
+            sigma *= self.scale[i]
+            if xnorm is not None:
+                xnorm[:, i] = sigma
+            s += sigma * eps[i]
         return np.abs(s), xnorm, (s[:, None] if keep_final else None)
 
 

@@ -276,6 +276,8 @@ def test_criterion_10_cli_determinism():
          "--reps", str(REPLICATIONS)],
         ["--model", "hilbert", "--dim", "3", "--n", "5", "--t", "3.5",
          "--seed", "1", "--reps", "20000"],
+        ["--model", "lp", "--dim", "8", "--n", "5", "--t", "3.5",
+         "--seed", "2", "--reps", "20000"],
     ]
     bad = []
     for config in configs:

@@ -109,6 +109,31 @@ class TestTwoSmoothness:
             HilbertSpace(0)
 
 
+class TestSpaceNorms:
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 7.0])
+    def test_lp_norm_matches_power_formula(self, p):
+        # The formula's own pow and its rounded exponent 1/p cost it up to
+        # about 6 ulp at radii 1e+-3, so the bound is 8 ulp of its value.
+        rng = np.random.default_rng(31)
+        for shape in [(1,), (7,), (500, 1), (500, 2), (50, 10, 3), (4, 25, 8)]:
+            v = rng.standard_normal(shape) * 10 ** rng.uniform(-3, 3, (*shape[:-1], 1))
+            ref = (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
+            got = LpSpace(p, shape[-1]).norm(v)
+            assert np.shape(got) == np.shape(ref)
+            assert np.all(np.abs(got - ref) <= 8 * np.spacing(ref))
+        zeros = LpSpace(p, 3).norm(np.zeros((2, 3)))
+        assert np.array_equal(zeros, [0.0, 0.0])
+        assert LpSpace(p, 1).norm([-2.5]) == pytest.approx(2.5, rel=4e-16)
+
+    def test_lp_two_is_the_hilbert_norm(self):
+        rng = np.random.default_rng(32)
+        for dim in (1, 3, 8):
+            v = rng.standard_normal((200, 6, dim))
+            lp = LpSpace(2.0, dim).norm(v)
+            hilbert = HilbertSpace(dim).norm(v)
+            assert np.all(np.abs(lp - hilbert) <= 1e-15 * hilbert)
+
+
 class TestRiemannSum:
     def test_single_step_equality_with_zero_power(self):
         # B_0^0 = 1 by convention: both sides equal 1 exactly

@@ -221,9 +221,10 @@ class TestMomentStream:
     @pytest.mark.parametrize(
         "model, norm",
         [
-            (HilbertModel(4, SCALE, dim=3), lambda v: np.sqrt((v * v).sum(axis=-1))),
+            (HilbertModel(4, SCALE, dim=3),
+             lambda v: np.sqrt(np.einsum("...k,...k->...", v, v))),
             (LpModel(4, SCALE, p=3.0, dim=8),
-             lambda v: (np.abs(v) ** 3.0).sum(axis=-1) ** (1.0 / 3.0)),
+             lambda v: np.cbrt(np.einsum("...k,...k->...", np.abs(v), np.abs(v) * np.abs(v)))),
         ],
         ids=["hilbert", "lp"],
     )
@@ -232,7 +233,7 @@ class TestMomentStream:
         g = block_generator(17, "norms", 0).standard_normal((500, 4, model.dim))
         nrm = norm(g)
         nrm[nrm == 0.0] = 1.0
-        ref = (g / nrm[..., None] * model.scale[None, :, None]).sum(axis=1)
+        ref = np.einsum("ijk,ij->ik", g, model.scale / nrm)
         assert np.array_equal(s, norm(ref))
         assert np.array_equal(x, np.broadcast_to(model.scale, (500, 4)))
         if keep_final:
@@ -240,7 +241,32 @@ class TestMomentStream:
         else:
             assert f is None
 
-    @pytest.mark.parametrize("kind", ["uniform", "two_point"])
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("hilbert", {"dim": d}) for d in (1, 3, 10)]
+        + [("lp", {"p": p, "dim": d}) for p in (2.0, 2.5, 3.0, 4.0) for d in (2, 8)],
+    )
+    def test_sphere_block_agrees_with_divide_then_sum(self, kind, params, n):
+        # The step sum once divided the whole tile by the step norms, scaled
+        # it and summed over the steps; on the same draws the final norms
+        # may differ from that by rounding only.
+        model = make_model(kind, n, np.linspace(0.5, 2.0, n), **params)
+        p = params.get("p", 2.0)
+
+        def norm(v):
+            if kind == "hilbert":
+                return np.sqrt((v * v).sum(axis=-1))
+            return (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
+
+        s = model._simulate_block(block_generator(21, "norms", 0), 1000, False)[0]
+        g = block_generator(21, "norms", 0).standard_normal((1000, n, model.dim))
+        nrm = norm(g)
+        nrm[nrm == 0.0] = 1.0
+        ref = norm((g / nrm[..., None] * model.scale[None, :, None]).sum(axis=1))
+        assert np.max(np.abs(s - ref)) <= 1e-13 * model.scale.sum()
+
+    @pytest.mark.parametrize("kind", ["uniform", "two_point", "dependent"])
     def test_norm_stream_skips_increment_norms(self, kind):
         model = make_model(kind, 4, self.SCALE)
         s, x, _ = model._simulate_block(block_generator(16, "norms", 0), 100, False, False)
@@ -306,6 +332,34 @@ class TestRowTiles:
         else:
             assert sim.final_vectors is None
         assert np.array_equal(sim.increment_norms, increment_norms)
+
+    @pytest.mark.parametrize("keep_final", [False, True])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_outputs_do_not_depend_on_tile_size(self, kind, keep_final, monkeypatch):
+        # Covers the per-row order of the sphere models' einsum sums: tiles
+        # of one row, of an odd row count and of more than a whole block.
+        n = 5
+        model = make_model(kind, n, np.linspace(0.5, 2.0, n))
+        reps = BLOCK_SIZE + 301
+
+        def outputs():
+            sim = simulate(model, self.SEED, reps, threads=1, keep_final=keep_final)
+            return sim.final_norms, sim.final_vectors, sim.increment_norms
+
+        default = outputs()
+        odd = max(model._min_tile_rows, 37) | 1
+        for elems, rows in [
+            (1, model._min_tile_rows),
+            (odd * model._width, odd),
+            (2 * BLOCK_SIZE * model._width, 2 * BLOCK_SIZE),
+        ]:
+            monkeypatch.setattr(models, "_TILE_ELEMS", elems)
+            assert max(model._min_tile_rows, elems // model._width) == rows
+            for got, want in zip(outputs(), default):
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("draw, shape", [("random", (7,)), ("standard_normal", (5, 3))])
     def test_generator_continues_across_row_tiles(self, draw, shape):
