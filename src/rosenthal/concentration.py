@@ -19,7 +19,6 @@ special case rho_i = norm difference.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,51 +37,31 @@ __all__ = [
     "sum_norm_bound",
 ]
 
-_GRID_POINTS = 1024
-_TIE_TOL = 1e-9
-
-
 def recentering_ratio(t: float, b) -> float:
     """R(t, b) for t > 2 and b in [0, 1]; vectorized over b."""
     if not t > 2.0:
         raise DomainError(f"the re-centering ratio needs t > 2, got t={t}")
     barr = np.asarray(b, dtype=float)
-    if np.any(barr < 0.0) or np.any(barr > 1.0):
+    if np.any((barr < 0.0) | (barr > 1.0)):
         raise DomainError("b must lie in [0, 1]")
-    val = (barr ** (t - 1) + (1 - barr) ** (t - 1)) * (
-        barr ** (1 / (t - 1)) + (1 - barr) ** (1 / (t - 1))
+    # A scalar b is evaluated in float arithmetic: find_bt calls this about
+    # 50 times, and numpy's per-operation cost on 0-d arrays dominates there.
+    x = float(barr) if barr.ndim == 0 else barr
+    return (x ** (t - 1) + (1 - x) ** (t - 1)) * (
+        x ** (1 / (t - 1)) + (1 - x) ** (1 / (t - 1))
     ) ** (t - 1)
-    return float(val) if np.isscalar(b) or barr.ndim == 0 else val
 
 
-def find_bt(t: float, *, grid_points: int = _GRID_POINTS, tol: float = 1e-10) -> tuple[float, float]:
+def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
     """Maximizer b_t of R(t, .) on [0, 1/2] and the constant C_t = R(t, b_t).
 
-    A dense grid scan localizes the maximum before golden-section
-    refinement; a warning is emitted if a grid cell outside the best cell's
-    run of near-ties ties with it within 1e-9 (the maximizer is expected
-    to be unique; the flat top near t = 2 is a single run).
+    R(t, .) is unimodal on [0, 1/2], equal to 1 at both ends with one
+    interior maximum, so golden-section search on the whole interval finds
+    it; near t = 2 the top is flat, and b_t is only as sharp as R allows.
     """
     if not t > 2.0:
         raise DomainError(f"the re-centering constant needs t > 2, got t={t}")
-    grid = np.linspace(0.0, 0.5, int(grid_points))
-    vals = recentering_ratio(t, grid)
-    i = int(np.argmax(vals))
-    ties = np.flatnonzero(vals >= vals[i] - _TIE_TOL)
-    if ties[-1] - ties[0] + 1 != ties.size:
-        warnings.warn(
-            f"re-centering ratio at t={t} has near-ties away from the best "
-            "grid cell; the located maximizer may be one of several",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    b_opt, neg = golden_section_minimize(
-        lambda x: -recentering_ratio(t, x), lo, hi, tol=tol
-    )
-    if -neg < vals[i]:
-        b_opt, neg = float(grid[i]), -float(vals[i])
+    b_opt, neg = golden_section_minimize(lambda x: -recentering_ratio(t, x), 0.0, 0.5, tol=tol)
     return float(b_opt), float(-neg)
 
 

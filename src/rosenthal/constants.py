@@ -21,23 +21,22 @@ r = A_n(t) / B_n^t.  The balanced value is then
 
     B_n^t (sum_{j<m} c_j r^{(t-2-2j)/(t-2)} / j! + c~_m prod_{j=1..m} 1/(t/2 - m + j)).
 
-Every constant is computed in logs, from one recursion over the layers
-(``_layer_recursion``) on terms free of the schedule parameter beta
-(``_layer_terms``), and combined by log-sum-exp; D^2 enters as
-2 log D + log1p(x / D^2).  Each c_j is then K_j + alpha_j log(1-beta) +
-gamma_j log beta with alpha_j, gamma_j <= 0, so the log of the balanced
-value is a log-sum-exp of such terms and convex in beta.  The beta scan
-of ``best_bound`` takes (K, alpha, gamma) once per call
-(``_log_balanced_beta_terms``) and minimizes by Newton on [0.02, 0.98];
-``_log_balanced_in_beta`` evaluates the same value at one beta with the
-IEEE operations of the one-schedule path, for the reference grid scan.
+Every constant is computed in logs and combined by log-sum-exp; D^2
+enters as 2 log D + log1p(x / D^2).  The layer constants have one form
+(``_layer_logs``): log c_j = K_j + alpha_j log(1-beta) + gamma_j log beta,
+where a beta-family layer at s = t-2j > 3 puts its scale 3-s < 0 into its
+own gamma_j and into the alpha of every later layer, and every other
+weight pair is folded into K_j.  So alpha_j, gamma_j <= 0, and the log of
+the balanced value is a log-sum-exp of such terms, convex in beta.  One
+schedule's constants are this form at its beta (``_log_layers``); the beta
+scan of ``best_bound`` takes the balanced value's terms once per call
+(``_log_balanced_beta_terms``) and minimizes by Newton on [0.02, 0.98].
 A value leaves the log domain only through ``core._exp``, so it is +inf
 above the float range and never NaN.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -83,53 +82,38 @@ def _log_smooth(x: float, D: float) -> float:
     return 2.0 * math.log(D) + math.log1p(x / D / D)
 
 
-def _layer_terms(t: float, D: float, schedule: PQSchedule, m: int) -> list[tuple]:
-    """The terms of the first m layers free of the beta of a beta-family
-    schedule.  Layer j, at s = t-2j, gives (log(s-2+D^2), log(s-1),
-    log(s/2) + log(s-2+D^2), scale, fixed).  Above s = 3 the beta family's
-    (log p(s), log q(s)) is scale * (log(1-beta), log beta), scale = 3-s,
-    taken in logs where ``pq_eval``'s floats overflow for beta near 0 or 1
-    at large s; every other pair is ``fixed`` and scale is None."""
-    terms = []
+def _layer_logs(t: float, D: float, schedule: PQSchedule, m: int) -> list[tuple]:
+    """(K, alpha, gamma) of log c_0, ..., log c_{m-1} and of the log of the
+    product of the first m layer factors, each log being K + alpha log(1-beta) +
+    gamma log beta.  A beta-family layer at s = t-2j > 3 has (log p(s),
+    log q(s)) = (3-s) (log(1-beta), log beta), taken in logs where
+    ``pq_eval``'s floats overflow for beta near 0 or 1 at large s: its
+    scale 3-s < 0 is the layer's own gamma and enters the alpha of every
+    later layer.  Every other pair is folded into K."""
+    logs = []
+    K = alpha = 0.0
     for j in range(m):
         s = t - 2.0 * j
         if schedule.kind == "beta_family" and s > 3.0:
-            scale, fixed = 3.0 - s, None
+            scale, log_p, log_q = 3.0 - s, 0.0, 0.0
         else:
             p, q = pq_eval(schedule, s)
-            scale, fixed = None, (math.log(p), math.log(q))
+            scale, log_p, log_q = 0.0, math.log(p), math.log(q)
         smooth = _log_smooth(t - 2 * j - 2, D)
-        log_head = math.log((t - 2 * j) / 2.0) + smooth
-        terms.append((smooth, math.log(t - 2 * j - 1), log_head, scale, fixed))
-    return terms
-
-
-def _layer_recursion(terms, beta: float | None) -> tuple[list[float], float]:
-    """(log c_0, ..., log c_{m-1}) and log c~_m from the ``terms`` of
-    :func:`_layer_terms` at one beta (None for a custom schedule), whose
-    two logs are taken once: O(m) scalar work, the one recursion every
-    constant uses."""
-    log_1mb, log_b = (math.log1p(-beta), math.log(beta)) if beta is not None else (0.0, 0.0)
-    log_c: list[float] = []
-    shared = 0.0
-    for smooth, log_odd, log_head, scale, fixed in terms:
-        log_p, log_q = fixed if scale is None else (scale * log_1mb, scale * log_b)
-        log_c.append(shared + smooth - log_odd + log_q)
-        shared += log_head + log_p
-    return log_c, shared
+        logs.append((K + smooth - math.log(t - 2 * j - 1) + log_q, alpha, scale))
+        K += math.log((t - 2 * j) / 2.0) + smooth + log_p
+        alpha += scale
+    logs.append((K, alpha, 0.0))
+    return logs
 
 
 def _log_layers(t: float, D: float, schedule, m: int) -> tuple[list[float], float]:
     """(log c_0, ..., log c_{m-1}) and the log of the product of the first m
-    layer factors (log c~_m when m = floor(t/2)).  Inputs are not checked.
-
-    It runs in two parts: :func:`_layer_terms`, free of the beta of a
-    beta-family schedule, then :func:`_layer_recursion` at that beta.  A
-    scan over beta computes the first part once and repeats only the
-    second; the split makes the same IEEE operations in the same order as
-    one pass over the layers, so every value keeps its bits."""
-    beta = schedule.beta if schedule.kind == "beta_family" else None
-    return _layer_recursion(_layer_terms(t, D, schedule, m), beta)
+    layer factors (log c~_m when m = floor(t/2)): :func:`_layer_logs` at the
+    schedule's beta.  Inputs are not checked."""
+    log_1mb, log_b = math.log1p(-schedule.beta), math.log(schedule.beta)
+    logs = [k + a * log_1mb + g * log_b for k, a, g in _layer_logs(t, D, schedule, m)]
+    return logs[:-1], logs[-1]
 
 
 def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
@@ -174,78 +158,27 @@ def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, 
     return _log_sum([x for x, _ in log_a]), _log_sum([x for x, _ in log_b])
 
 
-def _balance_terms(t: float, m: int, log_A: float, log_Bt: float):
-    """The schedule-free terms of :func:`_log_balanced` at one (t, m, log A_t,
-    log B^t): (t, log A_t, log B^t, log prod_{j=1..m} (t/2-m+j), rows), with
-    rows[j] = (log j!, x log A_t, (1-x) log B^t), x = (t-2-2j)/(t-2); rows is
-    None where A_t or B^t is 0 or +inf."""
-    if not (math.isfinite(log_A) and math.isfinite(log_Bt)):
-        return t, log_A, log_Bt, None, None
-    rows = []
-    for j in range(m):
-        x = (t - 2 - 2 * j) / (t - 2)
-        rows.append((math.lgamma(j + 1), x * log_A, (1.0 - x) * log_Bt))
-    return t, log_A, log_Bt, _log_top_norm(t, m), rows
-
-
-def _balanced_terms(balance, log_c, log_top: float) -> list[tuple[float, int]]:
-    """The terms of C_A A_t + C_B B^t at the lambdas of
-    :func:`optimize_lambdas` as (log, layer) pairs, layer m for c~_m, from
-    the ``balance`` of :func:`_balance_terms` and one schedule's log
-    constants.  With A_t, B > 0 there is one term per layer, since at the
-    balance B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!;
-    otherwise every lambda_j = 1 and they are the terms of C_A A_t and of
-    C_B B^t."""
-    t, log_A, log_Bt, log_norm, rows = balance
-    if rows is None:
-        log_a, log_b = _coefficient_terms(t, log_c, log_top, [0.0] * len(log_c))
-        return [(x + log_A, j) for x, j in log_a] + [(x + log_Bt, j) for x, j in log_b]
-    terms = [(log_top - log_norm + log_Bt, len(log_c))]
-    terms += [(lc - f + a + b, j) for j, (lc, (f, a, b)) in enumerate(zip(log_c, rows))]
-    return terms
-
-
-def _balanced_sum(balance, log_c, log_top: float) -> float:
-    """log of C_A A_t + C_B B^t at the lambdas of :func:`optimize_lambdas`:
-    the log-sum-exp of :func:`_balanced_terms`, taken per coefficient where
-    every lambda_j = 1."""
-    t, log_A, log_Bt, _, rows = balance
-    if rows is None:
-        log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0] * len(log_c))
-        return _log_sum([log_ca + log_A, log_cb + log_Bt])
-    return _log_sum([x for x, _ in _balanced_terms(balance, log_c, log_top)])
-
-
-def _log_balanced(t: float, log_c, log_top: float, log_A: float, log_Bt: float) -> float:
-    """:func:`_balanced_sum` of one schedule's log constants."""
-    return _balanced_sum(_balance_terms(t, len(log_c), log_A, log_Bt), log_c, log_top)
-
-
-def _log_balanced_in_beta(t: float, D: float, log_A: float, log_Bt: float):
-    """beta -> :func:`_log_balanced` at ``PQSchedule.beta_family(beta)``, bit
-    for bit.  The terms free of beta are computed once; each call runs only
-    :func:`_layer_recursion` and :func:`_balanced_sum`, O(m) scalar work."""
-    m = half_layers(t)
-    terms = _layer_terms(t, D, default_schedule(), m)
-    balance = _balance_terms(t, m, log_A, log_Bt)
-    return lambda beta: _balanced_sum(balance, *_layer_recursion(terms, beta))
-
-
 def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float):
-    """The value of :func:`_log_balanced_in_beta` as the log-sum-exp of
-    K + alpha log(1-beta) + gamma log beta over the returned (K, alpha,
-    gamma), equal up to rounding.  Layer j's log c_j carries the scale of
-    each layer k < j times log(1-beta) and its own scale times log beta,
-    and log c~_m every scale times log(1-beta); the scales 3-s are < 0, so
-    alpha, gamma <= 0 and the value is convex in beta and in its logit."""
+    """(K, alpha, gamma) of the terms of log(C_A A_t + C_B B^t) at the
+    lambdas of :func:`optimize_lambdas` and ``PQSchedule.beta_family(beta)``:
+    the value is the log-sum-exp of K + alpha log(1-beta) + gamma log beta.
+    With A_t, B > 0 there is one term per layer, since at the balance
+    B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!,
+    x = (t-2-2j)/(t-2); otherwise every lambda_j = 1 and they are the terms
+    of C_A A_t and of C_B B^t.  Each term keeps its layer's alpha, gamma <= 0
+    from :func:`_layer_logs`, so the value is convex in the logit of beta."""
     m = half_layers(t)
-    terms = _layer_terms(t, D, default_schedule(), m)
-    scales = [0.0 if scale is None else scale for *_, scale, _ in terms]
-    alpha = list(itertools.accumulate(scales, initial=0.0))
-    gamma = scales + [0.0]
-    # beta = None sets both logs of beta to 0, leaving the K of each c_j.
-    balanced = _balanced_terms(_balance_terms(t, m, log_A, log_Bt), *_layer_recursion(terms, None))
-    return [(k, alpha[j], gamma[j]) for k, j in balanced]
+    layers = _layer_logs(t, D, default_schedule(), m)
+    log_c, log_top = [k for k, _, _ in layers[:-1]], layers[-1][0]
+    if math.isfinite(log_A) and math.isfinite(log_Bt):
+        terms = [(log_top - _log_top_norm(t, m) + log_Bt, m)]
+        for j, lc in enumerate(log_c):
+            x = (t - 2 - 2 * j) / (t - 2)
+            terms.append((lc - math.lgamma(j + 1) + x * log_A + (1.0 - x) * log_Bt, j))
+    else:
+        log_a, log_b = _coefficient_terms(t, log_c, log_top, [0.0] * m)
+        terms = [(x + log_A, j) for x, j in log_a] + [(x + log_Bt, j) for x, j in log_b]
+    return [(k, *layers[j][1:]) for k, j in terms]
 
 
 def optimize_lambdas(

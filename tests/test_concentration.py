@@ -69,6 +69,12 @@ class TestFindBt:
             vals = recentering_ratio(t, grid)
             _, c_t = find_bt(t)
             assert abs(c_t - float(np.max(vals))) <= 1e-8
+        # Near t = 2 the top is flat, and C_60 is about 3.4e16, so these are
+        # relative: never below the grid's best beyond rounding.
+        for t in (2.001, 2.05, 11.0, 20.0, 40.0, 60.0):
+            top = float(np.max(recentering_ratio(t, grid)))
+            _, c_t = find_bt(t)
+            assert top * (1.0 - 1e-14) <= c_t <= top * (1.0 + 1e-7), (t, c_t, top)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -22,7 +22,7 @@ from rosenthal import (
     theorem_bound,
 )
 from rosenthal.bounds import BETA_GRID, _best_beta_corollary
-from rosenthal.constants import MAX_T
+from rosenthal.constants import MAX_T, _layer_logs
 from rosenthal.core import MomentProfile, VarianceEnvelope, required_exponents
 from rosenthal.optimize import grid_then_golden_minimize
 from rosenthal.schedules import pq_eval
@@ -299,7 +299,11 @@ class TestConstantsParity:
 
     @pytest.mark.parametrize("t", [5.5, 6.5, 9.0])
     def test_custom_schedule_matches_reference(self, t):
-        self.check_all(t, 1.7, beta_table(t, 0.3))
+        schedule = beta_table(t, 0.3)
+        self.check_all(t, 1.7, schedule)
+        # A custom table folds every (p, q) pair into K: no term in beta.
+        layers = _layer_logs(t, 1.7, schedule, int(t // 2))
+        assert all(alpha == gamma == 0.0 for _, alpha, gamma in layers)
 
     @settings(max_examples=40, deadline=None)
     @given(

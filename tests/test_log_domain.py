@@ -1,7 +1,7 @@
 """The log-domain constants path against a decimal oracle, a robustness
 sweep over the advertised domain, the domain edges it mends, and the beta
-scan: its objective against the one-schedule path, bit for bit, and its
-Newton solve against the grid-and-golden scan."""
+scan: its objective against a one-pass reference per beta, and its Newton
+solve against the grid-and-golden scan."""
 
 import math
 from unittest import mock
@@ -29,6 +29,7 @@ from rosenthal import (
     closed_form_min,
     compute_constants,
     corollary_bound,
+    find_bt,
     hilbert_2_4,
     moment_ratio,
     optimize_lambdas,
@@ -41,9 +42,7 @@ from rosenthal import (
 from rosenthal.bounds import BETA_GRID, _aggregated, _best_beta_corollary
 from rosenthal.constants import (
     MAX_T,
-    _log_balanced,
     _log_balanced_beta_terms,
-    _log_balanced_in_beta,
     _log_coefficients,
     _log_layers,
 )
@@ -119,14 +118,14 @@ class TestDecimalOracle:
                 assert_float_close(C_B(t, D, schedule, lam), want[1])
 
     def test_balanced_value(self, t, D):
-        m = int(t // 2)
+        # The objective the beta scan minimizes, at each beta.
         for beta in BETAS:
             schedule = PQSchedule.beta_family(beta)
-            log_c, log_top = _log_layers(t, D, schedule, m)
             for A_t, B in TOTALS:
                 log_A, log_Bt = math.log(A_t), t * math.log(B)
                 lam, value = oracle.balanced(t, D, beta, A_t, B)
-                assert_log_close(_log_balanced(t, log_c, log_top, log_A, log_Bt), value)
+                terms = _log_balanced_beta_terms(t, D, log_A, log_Bt)
+                assert_log_close(log_value(terms, beta), value)
                 for got, want in zip(optimize_lambdas(t, D, schedule, A_t, B), lam):
                     assert_float_close(got, want)
 
@@ -201,6 +200,7 @@ class TestDomainSweep:
             lambda: compute_constants(t, D, None, list(lam)),
             lambda: optimize_lambdas(t, D, None, A_t, B),
             lambda: moment_ratio(prof, env),
+            lambda: find_bt(t),
         ]
         for call in calls:
             defined(call)
@@ -293,8 +293,8 @@ def _totals():
 
 
 class TestScanParity:
-    """The beta scan runs on terms computed once per call, with the same
-    IEEE operations in the same order as the one-schedule path."""
+    """The beta scan runs on terms computed once per call, whose value at
+    each beta is the one-pass reference's up to rounding."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -306,10 +306,17 @@ class TestScanParity:
     def test_scan_value_is_the_one_schedule_value(self, t, D, beta, totals):
         A_t, B = totals
         log_A, log_Bt = _log(A_t), t * _log(B)
-        m = int(t // 2)
-        log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(beta), m)
-        want = _log_balanced(t, log_c, log_top, log_A, log_Bt)
-        assert _log_balanced_in_beta(t, D, log_A, log_Bt)(beta) == want
+        log_c, log_top = ref_log_layers(t, D, PQSchedule.beta_family(beta), int(t // 2))
+        want = ref_log_balanced(t, log_c, log_top, log_A, log_Bt)
+        got = log_value(_log_balanced_beta_terms(t, D, log_A, log_Bt), beta)
+        if math.isinf(want):
+            assert got == want
+        else:
+            # The two sum the same logs in different orders, so they agree to
+            # rounding of the largest log, which can be 1e4 times the value:
+            # log A_t and log B^t reach 2e4 and may cancel.
+            logs = [x for x in (want, log_A, log_Bt, *log_c, log_top) if math.isfinite(x)]
+            assert abs(got - want) <= LOG_TOL * max(1.0, *map(abs, logs)), (got, want)
 
     def test_best_bound_matches_one_pass_scan(self):
         # The Newton scan is never worse than the grid-and-golden scan beyond
@@ -349,14 +356,16 @@ class TestBetaNewton:
     balanced value."""
 
     def test_linear_terms_are_the_objective(self):
-        # F of the (K, alpha, gamma) terms is the closure's log value; F' and
-        # F'' in the logit u match central differences of it.
+        # F of the (K, alpha, gamma) terms is the reference's log value; F'
+        # and F'' in the logit u match central differences of it; every
+        # slope is <= 0, the premise of convexity.
         rng = np.random.default_rng(7)
         for _ in range(200):
             t, D, A_t, B = scan_case(rng)
             log_A, log_Bt = _log(A_t), t * _log(B)
-            closure = _log_balanced_in_beta(t, D, log_A, log_Bt)
+            closure = ref_log_value_in_beta(t, D, log_A, log_Bt)
             terms = _log_balanced_beta_terms(t, D, log_A, log_Bt)
+            assert all(alpha <= 0.0 and gamma <= 0.0 for _, alpha, gamma in terms)
             u = float(rng.uniform(-3.8, 3.8))
             f, d1, d2 = _log_sum_exp_derivatives(terms, expit(u))
             assert abs(f - closure(expit(u))) <= LOG_TOL * max(1.0, abs(f))
@@ -382,7 +391,7 @@ class TestBetaNewton:
         for _ in range(300):
             t, D, A_t, B = scan_case(rng)
             log_A, log_Bt = _log(A_t), t * _log(B)
-            closure = _log_balanced_in_beta(t, D, log_A, log_Bt)
+            closure = ref_log_value_in_beta(t, D, log_A, log_Bt)
             beta = _best_beta_corollary(t, D, A_t, B).parameters["schedule"]["beta"]
             value = closure(beta)
             if beta in (BETA_GRID[0], BETA_GRID[-1]):
@@ -440,6 +449,11 @@ def expit(u):
     return 1.0 / (1.0 + math.exp(-u))
 
 
+def log_value(terms, beta):
+    """The log-sum-exp of K + alpha log(1-beta) + gamma log beta."""
+    return _log_sum([k + a * math.log1p(-beta) + g * math.log(beta) for k, a, g in terms])
+
+
 # The grid-and-golden scan as one pass per beta: a PQSchedule, every log of
 # every layer and the whole balanced sum at each point.  It is the reference
 # the Newton scan is checked against.
@@ -473,13 +487,18 @@ def ref_log_balanced(t, log_c, log_top, log_A, log_Bt):
     return _log_sum(terms)
 
 
-def ref_scan(t, D, A_t, B):
+def ref_log_value_in_beta(t, D, log_A, log_Bt):
+    """beta -> the log of the balanced value at PQSchedule.beta_family(beta)."""
     m = int(t // 2)
-    log_A, log_Bt = _log(A_t), t * _log(B)
 
     def log_value_at(beta):
         log_c, log_top = ref_log_layers(t, D, PQSchedule.beta_family(beta), m)
         return ref_log_balanced(t, log_c, log_top, log_A, log_Bt)
 
+    return log_value_at
+
+
+def ref_scan(t, D, A_t, B):
+    log_value_at = ref_log_value_in_beta(t, D, _log(A_t), t * _log(B))
     beta, _ = grid_then_golden_minimize(log_value_at, BETA_GRID, tol=1e-10)
     return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
