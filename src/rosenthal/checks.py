@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ValidationError, pow00
+from .core import DomainError, ValidationError, _checked_array, pow00
 from .schedules import PQSchedule, default_schedule, pq_eval
 
 __all__ = [
@@ -174,8 +174,8 @@ def check_riemann_sum(b, s: float, *, rtol: float = 1e-12) -> bool:
     """
     if s < 0.0:
         raise DomainError(f"the Riemann-sum lemma needs s >= 0, got s={s}")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0 or not np.all(np.isfinite(b)) or np.any(b <= 0):
+    b = _checked_array("b", b, positive=True)
+    if b.size == 0:
         raise ValidationError("b must be a nonempty sequence of positive reals")
     sq = np.concatenate([[0.0], np.cumsum(b * b)])
     B = np.sqrt(sq)

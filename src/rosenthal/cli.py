@@ -172,14 +172,13 @@ def _parse_scale(raw: str):
 
 
 def _cmd_verify(args) -> int:
+    # Only the options given and taken by the model; the rest keep the
+    # defaults of the model's class.
     params = {}
-    if args.model == "two_point":
-        params["prob"] = args.p if args.p is not None else 0.1
-    elif args.model == "lp":
-        params["p"] = args.p if args.p is not None else 3.0
-        params["dim"] = args.dim if args.dim is not None else 8
-    elif args.model == "hilbert":
-        params["dim"] = args.dim if args.dim is not None else 3
+    if args.p is not None and args.model in ("two_point", "lp"):
+        params["prob" if args.model == "two_point" else "p"] = args.p
+    if args.dim is not None and args.model in ("hilbert", "lp"):
+        params["dim"] = args.dim
     model = make_model(args.model, args.n, _parse_scale(args.b), **params)
     schedule = _schedule_from_args(args)
     if args.dump_norms is not None:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import _aggregate
-from .core import DomainError, ValidationError, _exp, _log, _log_sum
+from .core import DomainError, ValidationError, _checked_array, _exp, _log, _log_sum
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
 
@@ -65,30 +65,29 @@ def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
     return float(b_opt), float(-neg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LipschitzMomentData:
     """Per-coordinate moments of the Lipschitz moduli.
 
     ``rho_t[i]`` is E rho_i(X_i, x_i)^t and ``rho_2[i]`` is
-    E rho_i(X_i, y_i)^2 for the chosen anchor points.
+    E rho_i(X_i, y_i)^2 for the chosen anchor points.  Any sequences may
+    be passed; the data stores read-only float64 copies, and compares by
+    identity since arrays have no value equality.
     """
 
     t: float
-    rho_t: tuple[float, ...]
-    rho_2: tuple[float, ...]
+    rho_t: np.ndarray
+    rho_2: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.t > 2.0:
             raise ValidationError(f"t must exceed 2, got {self.t}")
-        rt = np.asarray(self.rho_t, dtype=float)
-        r2 = np.asarray(self.rho_2, dtype=float)
-        if rt.shape != r2.shape or rt.ndim != 1:
+        rt = _checked_array("rho_t", self.rho_t)
+        r2 = _checked_array("rho_2", self.rho_2)
+        if rt.shape != r2.shape:
             raise ValidationError("rho_t and rho_2 must be equal-length sequences")
-        for name, arr in (("rho_t", rt), ("rho_2", r2)):
-            if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-                raise ValidationError(f"{name} entries must be finite and >= 0")
-        object.__setattr__(self, "rho_t", tuple(float(x) for x in rt))
-        object.__setattr__(self, "rho_2", tuple(float(x) for x in r2))
+        object.__setattr__(self, "rho_t", rt)
+        object.__setattr__(self, "rho_2", r2)
 
 
 def separately_lipschitz_bound(

@@ -119,8 +119,18 @@ def smoothness_value(D) -> float:
     return v
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
+    """The one form of a per-index input: a read-only 1-d float64 copy of
+    ``values`` whose entries are finite and >= 0 (> 0 with ``positive``),
+    or a :class:`ValidationError` that names the input."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a sequence of numbers") from None
+    if a.ndim != 1:
+        raise ValidationError(f"{name} must be a flat sequence")
+    if not np.all(np.isfinite(a)) or np.any(a <= 0 if positive else a < 0):
+        raise ValidationError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
     a.setflags(write=False)
     return a
 
@@ -162,13 +172,11 @@ class MomentProfile:
             s = float(s)
             if not (math.isfinite(s) and s >= 0.0):
                 raise ValidationError(f"moment exponent must be finite and >= 0, got {s}")
-            a = _readonly(np.asarray(seq, dtype=float))
-            if a.ndim != 1 or a.shape[0] != self.n:
+            a = _checked_array(f"moments at s={s}", seq)
+            if a.shape[0] != self.n:
                 raise ValidationError(
                     f"moments at s={s} must be a length-{self.n} sequence"
                 )
-            if a.size and (not np.all(np.isfinite(a)) or np.any(a < 0)):
-                raise ValidationError(f"moments at s={s} must be finite and >= 0")
             key = exponent_key(s)
             arrays[key] = a
             exps[key] = s
@@ -280,12 +288,7 @@ class VarianceEnvelope:
     __slots__ = ("b",)
 
     def __init__(self, b: Sequence[float]) -> None:
-        arr = _readonly(np.asarray(b, dtype=float))
-        if arr.ndim != 1:
-            raise ValidationError("envelope must be a flat sequence")
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
-            raise ValidationError("every b_i must be finite and > 0")
-        object.__setattr__(self, "b", arr)
+        object.__setattr__(self, "b", _checked_array("envelope b", b, positive=True))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("VarianceEnvelope is immutable")

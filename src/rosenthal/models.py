@@ -36,7 +36,13 @@ import math
 import numpy as np
 
 from .checks import HilbertSpace, LpSpace
-from .core import MomentProfile, ValidationError, VarianceEnvelope, required_exponents
+from .core import (
+    MomentProfile,
+    ValidationError,
+    VarianceEnvelope,
+    _checked_array,
+    required_exponents,
+)
 from .rng import block_generator, iter_blocks, worker_count
 
 __all__ = [
@@ -63,14 +69,11 @@ _TILE_ELEMS = 65536
 
 
 def _as_scale(scale, n: int) -> np.ndarray:
-    arr = np.asarray(scale, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
+    if np.ndim(scale) == 0:
+        scale = np.full(n, float(scale))
+    arr = _checked_array("scale", scale, positive=True)
     if arr.shape != (n,):
         raise ValidationError(f"scale must be a scalar or length-{n} sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValidationError("every scale entry must be finite and > 0")
-    arr.setflags(write=False)
     return arr
 
 
@@ -80,6 +83,8 @@ class MartingaleModel(ABC):
     kind: str = ""
     # Fewest rows per tile; see DependentModel.
     _min_tile_rows: int = 1
+    # Length of a final vector S_n: 1 on the real line.
+    _dim: int = 1
 
     def __init__(self, n: int, scale=1.0) -> None:
         if int(n) != n or n < 1:
@@ -95,7 +100,7 @@ class MartingaleModel(ABC):
     @property
     def _width(self) -> int:
         """Floats drawn per replication."""
-        return self.n
+        return self.n * self._dim
 
     def envelope(self) -> VarianceEnvelope:
         """The conditional-variance envelope the construction guarantees."""
@@ -225,8 +230,8 @@ class _SphereModel(MartingaleModel):
         return self.space.smoothness
 
     @property
-    def _width(self) -> int:
-        return self.n * self.dim
+    def _dim(self) -> int:
+        return self.dim
 
     def _simulate_block(self, gen, size, keep_final, increments=True):
         g = gen.standard_normal((size, self.n, self.dim))
@@ -347,12 +352,11 @@ def _run_stream(
     final vectors are kept only with ``keep_final``."""
     moments = label == MOMENT_STREAM
     out = np.empty((replications, model.n) if moments else replications)
-    finals = None
+    finals = np.empty((replications, model._dim)) if keep_final else None
     blocks = iter_blocks(replications)
     rows = max(model._min_tile_rows, _TILE_ELEMS // model._width)
 
     def work(task):
-        nonlocal finals
         blk, start, stop = task
         gen = block_generator(seed, label, blk)
         for a in range(start, stop, rows):
@@ -360,15 +364,8 @@ def _run_stream(
             s, x, f = model._simulate_block(gen, b - a, keep_final, moments)
             out[a:b] = x if moments else s
             if keep_final:
-                if finals is None:
-                    finals = np.empty((replications, f.shape[1]))
                 finals[a:b] = f
 
-    if keep_final:
-        # Allocate up front from a probe of the final-vector width so the
-        # threaded path never races on lazy allocation.
-        work(blocks[0])
-        blocks = blocks[1:]
     if threads == 1 or len(blocks) <= 1:
         for task in blocks:
             work(task)
@@ -401,22 +398,19 @@ def simulate(
     return SimulationResult(snorm, finals, model, seed, nthreads)
 
 
-MODEL_KINDS = ("rademacher", "uniform", "two_point", "hilbert", "lp", "dependent")
+_MODELS = {
+    cls.kind: cls
+    for cls in (RademacherModel, UniformModel, TwoPointModel, HilbertModel, LpModel, DependentModel)
+}
+MODEL_KINDS = tuple(_MODELS)
 
 
 def make_model(kind: str, n: int, scale=1.0, **params) -> MartingaleModel:
-    """Factory keyed by model kind; extra parameters per kind:
-    ``prob`` (two_point), ``p`` and ``dim`` (lp), ``dim`` (hilbert)."""
-    classes = {
-        "rademacher": RademacherModel,
-        "uniform": UniformModel,
-        "two_point": TwoPointModel,
-        "hilbert": HilbertModel,
-        "lp": LpModel,
-        "dependent": DependentModel,
-    }
+    """Factory keyed by model kind; extra parameters per kind, with the
+    defaults of the class signatures: ``prob`` (two_point), ``p`` and
+    ``dim`` (lp), ``dim`` (hilbert)."""
     try:
-        cls = classes[kind]
+        cls = _MODELS[kind]
     except KeyError:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}") from None
     return cls(n, scale, **params)
@@ -424,11 +418,4 @@ def make_model(kind: str, n: int, scale=1.0, **params) -> MartingaleModel:
 
 def builtin_models(n: int, scale=1.0) -> list[MartingaleModel]:
     """One default-configured instance of every model kind."""
-    return [
-        RademacherModel(n, scale),
-        UniformModel(n, scale),
-        TwoPointModel(n, scale, prob=0.1),
-        HilbertModel(n, scale, dim=3),
-        LpModel(n, scale, p=3.0, dim=8),
-        DependentModel(n, scale),
-    ]
+    return [make_model(kind, n, scale) for kind in MODEL_KINDS]

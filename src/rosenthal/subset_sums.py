@@ -17,6 +17,10 @@ terms.  Long arrays are reduced by an error-free pairwise fold in a few
 float64 array passes, which certifies its rounding or defers to
 ``math.fsum``.  Every term is >= 0, so a sum that overflows the float range
 is +inf.  A direct enumeration oracle is provided for testing.
+
+A :class:`MinGroupedSumSpec` holds read-only float64 copies of its weights
+and prefix values, which the kernel reads as they are; like every array
+holder of this package, it compares by identity.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ValidationError
+from .core import DomainError, ValidationError, _checked_array
 
 __all__ = [
     "MinGroupedSumSpec",
@@ -49,43 +53,39 @@ _FOLD_MIN_TOTAL = 2.0**-900
 _FOLD_MAX_TOTAL = 2.0**1000
 
 
-def _check_finite_nonneg(name: str, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ValidationError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinGroupedSumSpec:
     """Inputs of a min-grouped subset sum.
 
     ``weights`` are the n per-index factors (squared envelope entries in
     the bounds), ``prefix_values`` the n+1 values g(0..n) attached to the
     position just before the subset minimum, and ``j`` the cardinality.
+    Any sequences may be passed; the spec stores read-only float64 copies,
+    so a later change to the caller's arrays changes nothing.  Arrays have
+    no value equality, so specs compare by identity.
     """
 
-    weights: tuple[float, ...]
-    prefix_values: tuple[float, ...]
+    weights: np.ndarray
+    prefix_values: np.ndarray
     j: int
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        g = np.asarray(self.prefix_values, dtype=float)
-        if w.ndim != 1 or g.ndim != 1 or g.shape[0] != w.shape[0] + 1:
+        w = _checked_array("weights", self.weights)
+        g = _checked_array("prefix values", self.prefix_values)
+        if g.shape[0] != w.shape[0] + 1:
             raise ValidationError(
                 "need n weights and n+1 prefix values, got "
                 f"{w.shape[0]} and {g.shape[0]}"
             )
-        _check_finite_nonneg("weights", w)
-        _check_finite_nonneg("prefix values", g)
         if int(self.j) != self.j or self.j < 0:
             raise ValidationError(f"cardinality j must be an integer >= 0, got {self.j}")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        object.__setattr__(self, "prefix_values", tuple(float(x) for x in g))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "prefix_values", g)
         object.__setattr__(self, "j", int(self.j))
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
 
 def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndarray:
@@ -225,13 +225,12 @@ def min_grouped_sum(spec: MinGroupedSumSpec, *, esp_table: np.ndarray | None = N
     least j - 1 may be supplied to share work across cardinalities.
     """
     n, j = spec.n, spec.j
-    w = np.asarray(spec.weights, dtype=float)
     if 0 < j <= n:
         if esp_table is None:
-            esp_table = elementary_symmetric_suffix(w, j - 1)
+            esp_table = elementary_symmetric_suffix(spec.weights, j - 1)
         elif esp_table.shape[0] != n + 1 or esp_table.shape[1] < j:
             raise ValidationError("esp_table does not match the spec")
-    return _layer_sum(np.asarray(spec.prefix_values, dtype=float), w, esp_table, j)
+    return _layer_sum(spec.prefix_values, spec.weights, esp_table, j)
 
 
 def brute_force_min_grouped_sum(spec: MinGroupedSumSpec) -> float:
@@ -244,9 +243,8 @@ def brute_force_min_grouped_sum(spec: MinGroupedSumSpec) -> float:
     if j > n:
         return 0.0
     if j == 0:
-        return spec.prefix_values[n]
-    w = spec.weights
-    g = spec.prefix_values
+        return float(spec.prefix_values[n])
+    w, g = spec.weights.tolist(), spec.prefix_values.tolist()
     total = 0.0
     for subset in combinations(range(1, n + 1), j):
         prod = 1.0

@@ -95,6 +95,28 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["value"] == math.inf
 
+    @pytest.mark.parametrize(
+        "moments_3, b, named",
+        [
+            ([1.0, -1.0], [1.0, 1.0], "moments at s=3.0"),
+            ([math.nan, 1.0], [1.0, 1.0], "moments at s=3.0"),
+            ([[1.0], [1.0]], [1.0, 1.0], "moments at s=3.0"),
+            ([{}, 1.0], [1.0, 1.0], "moments at s=3.0"),
+            ([1.0, 1.0], [1.0, 0.0], "envelope b"),
+        ],
+        ids=["negative moment", "NaN moment", "nested moments", "object moment", "zero b"],
+    )
+    def test_invalid_per_index_input(self, tmp_path, capsys, moments_3, b, named):
+        case = {
+            "profile": {"n": 2, "t": 3.0, "moments": {"3": moments_3, "2": [1.0, 1.0]}},
+            "envelope": {"b": b},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(case))
+        code, out, err = run_main(["bound", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named} must be") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(["bound", "--input", "/nonexistent.json"], capsys)
         assert code == 2

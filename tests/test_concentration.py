@@ -116,6 +116,20 @@ class TestLipschitzBounds:
         assert sum_norm_bound(3.5, 1.5, 1.0) > base
         assert sum_norm_bound(3.5, 1.0, 1.5) > base
 
+    def test_fields_are_read_only_copies(self):
+        rho_t, rho_2 = np.array([0.3, 0.4]), np.array([0.2, 0.9])
+        data = LipschitzMomentData(3.4, rho_t, rho_2)
+        for field in (data.rho_t, data.rho_2, LipschitzMomentData(3.0, (1,), (2,)).rho_t):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+            assert not field.flags.writeable
+        before = separately_lipschitz_bound(data)
+        rho_t[:], rho_2[:] = 5.0, 5.0
+        assert (data.rho_t.tolist(), data.rho_2.tolist()) == ([0.3, 0.4], [0.2, 0.9])
+        assert separately_lipschitz_bound(data) == before
+        from_tuples = LipschitzMomentData(3.4, (0.3, 0.4), (0.2, 0.9))
+        assert separately_lipschitz_bound(from_tuples) == before
+        assert data == data and data != LipschitzMomentData(3.4, rho_t, rho_2)  # identity
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             LipschitzMomentData(3.0, (1.0,), (1.0, 2.0))

@@ -8,11 +8,15 @@ import pytest
 from rosenthal import (
     BoundReport,
     DomainError,
+    LipschitzMomentData,
+    MinGroupedSumSpec,
     MissingExponentError,
     MomentProfile,
+    RademacherModel,
     SmoothnessConstant,
     ValidationError,
     VarianceEnvelope,
+    check_riemann_sum,
     moment_ratio,
     required_exponents,
 )
@@ -21,6 +25,20 @@ from rosenthal.core import _ratio_scalar, exponent_key, pow00
 
 def profile_t3(a3, a2):
     return MomentProfile(len(a3), 3.0, {3.0: a3, 2.0: a2})
+
+
+# Every per-index input of the package as a function of a length-2 array,
+# with the name its errors give and whether it must be > 0 rather than >= 0.
+PER_INDEX_INPUTS = {
+    "moments": (lambda v: profile_t3(v, [1.0, 1.0]), "moments at s=3.0", False),
+    "envelope": (VarianceEnvelope, "envelope b", True),
+    "scale": (lambda v: RademacherModel(2, v), "scale", True),
+    "weights": (lambda v: MinGroupedSumSpec(v, [1.0, 1.0, 1.0], 1), "weights", False),
+    "prefix values": (lambda v: MinGroupedSumSpec([1.0], v, 1), "prefix values", False),
+    "rho_t": (lambda v: LipschitzMomentData(3.0, v, [1.0, 1.0]), "rho_t", False),
+    "rho_2": (lambda v: LipschitzMomentData(3.0, [1.0, 1.0], v), "rho_2", False),
+    "riemann b": (lambda v: check_riemann_sum(v, 1.0), "b", True),
+}
 
 
 class TestPartialMomentSum:
@@ -109,6 +127,22 @@ class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             MomentProfile(2, 3.0, {3.0: [1], 2.0: [1, 1]})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0, math.nan], [1.0, math.inf], [1.0, -1.0], [1.0, 0.0], [[1.0], [1.0]], [{}, 1.0]],
+        ids=["nan", "inf", "negative", "zero", "2-d", "not a number"],
+    )
+    @pytest.mark.parametrize("kind", PER_INDEX_INPUTS)
+    def test_per_index_inputs(self, kind, bad):
+        build, name, positive = PER_INDEX_INPUTS[kind]
+        if bad == [1.0, 0.0] and not positive:
+            build(bad)
+            return
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            build(bad)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            build(np.array(bad, dtype=object))
 
     def test_immutable(self):
         p = profile_t3([1], [1])

@@ -39,6 +39,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             RademacherModel(3, scale=[1.0, 1.0])  # wrong length
 
+    def test_scale_is_a_read_only_copy(self):
+        scale = np.array([1.0, 2.0])
+        model = RademacherModel(2, scale)
+        scale[0] = 5.0  # the caller's array stays writeable and apart
+        assert model.scale.tolist() == [1.0, 2.0] and not model.scale.flags.writeable
+        assert RademacherModel(3, 2).scale.tolist() == [2.0, 2.0, 2.0]
+
     def test_sphere_models_keep_attributes_and_messages(self):
         h, lp = HilbertModel(4, dim=3.0), LpModel(4, p=3, dim=8.0)
         assert (type(h.dim), h.smoothness, h.describe()["dim"]) == (int, 1.0, 3)

@@ -104,6 +104,31 @@ class TestMinGroupedSum:
         with pytest.raises(DomainError):
             brute_force_min_grouped_sum(spec)
 
+    def test_fields_are_read_only_copies(self):
+        w, g = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0, 3.0])
+        spec = MinGroupedSumSpec(w, g, 2)
+        from_ints = MinGroupedSumSpec((1, 2), (0, 1, 2), 1)
+        for field in (spec.weights, spec.prefix_values, from_ints.weights):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+            assert not field.flags.writeable
+        w[:], g[:] = 9.0, 9.0
+        assert spec.weights.tolist() == [1.0, 2.0, 3.0]
+        assert spec.prefix_values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert min_grouped_sum(spec) == brute_force_min_grouped_sum(spec) == 6.0
+        assert spec == spec and spec != MinGroupedSumSpec(w, g, 2)  # identity
+
+    def test_tuples_arrays_and_oracle_agree(self):
+        rng = np.random.default_rng(15)
+        for n in range(13):
+            w, g = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n + 1)
+            for j in range(n + 1):
+                from_arrays = MinGroupedSumSpec(w, g, j)
+                value = min_grouped_sum(from_arrays)
+                assert min_grouped_sum(MinGroupedSumSpec(tuple(w), tuple(g), j)) == value
+                oracle = brute_force_min_grouped_sum(from_arrays)
+                assert type(oracle) is float
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             MinGroupedSumSpec((1.0, -1.0), (1, 1, 1), 0)
