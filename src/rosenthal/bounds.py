@@ -42,12 +42,11 @@ from .core import (
     _log_sum,
     _ratio_scalar,
     half_layers,
-    pow00,
     smoothness_value,
 )
 from .optimize import _minimize_log_sum_exp_beta, golden_section_minimize
 from .schedules import PQSchedule, default_schedule
-from .subset_sums import _layer_sum, elementary_symmetric_suffix
+from .subset_sums import _layer_sums
 
 __all__ = [
     "Pin94Config",
@@ -113,24 +112,33 @@ def theorem_bound(
 
 def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -> BoundReport:
     """The layered bound's report from the totals A_n(t) (None when t is
-    unstored) and B_n.  Layer j is homogeneous of degree j in the weights
-    b_i^2, so the kernel runs on (b_i / B_n)^2, which sum to 1, and layer j
-    carries B_n^{2j} in logs.  Where B_n itself is beyond the float range
-    the unit is max b_i instead, and the weights sum to at most n."""
+    unstored) and B_n.  The layers come from one pass of `_layer_sums`:
+    T_0 = A_n(t); T_j = sum_i a_i(t-2j) e_j(w_{i+1}..w_n) for 0 < j < m,
+    the min-grouped sum with its two sums swapped, so that no prefix sums
+    are formed; the top layer is min-grouped over the prefix values
+    (A_k(2))^(t/2-m).  They combine with the layer constants of
+    `_log_layers` in logs.  Layer j is homogeneous of degree j in the
+    weights b_i^2, so the kernel runs on w = (b_i / B_n)^2, which sum to 1,
+    and layer j carries B_n^{2j} in logs.  Where B_n itself is beyond the
+    float range the unit is max b_i instead, and the weights sum to at
+    most n."""
     t = profile.t
     m = half_layers(t)
     log_c, log_top = _log_layers(_check_t(t), D, schedule, m)
     unit = B or 1.0  # B_n = 0 only without steps
     if unit == math.inf:
         unit = float(envelope.b.max())
-    w = (envelope.b / unit) ** 2
-    table = elementary_symmetric_suffix(w, max(m - 1, 0))
-    prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
-    prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
-
+    layers = _layer_sums(
+        A_t if m else None,
+        [profile.moment_array(t - 2.0 * j) for j in range(1, m)],
+        profile.moment_array(2.0),
+        envelope.b,
+        unit,
+        t / 2.0 - m,
+    )
     logs = [
-        log_cj + _log(_layer_sum(g, w, table, j)) + 2 * j * math.log(unit)
-        for j, (log_cj, g) in enumerate(zip(log_c + [log_top], prefix))
+        log_cj + _log(layer) + 2 * j * math.log(unit)
+        for j, (log_cj, layer) in enumerate(zip(log_c + [log_top], layers))
     ]
 
     return BoundReport(

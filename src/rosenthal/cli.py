@@ -34,6 +34,7 @@ from .constants import compute_constants
 from .core import (
     MomentProfile,
     RosenthalError,
+    ValidationError,
     VarianceEnvelope,
 )
 from .gaussian import ratio_curve
@@ -97,9 +98,38 @@ def _schedule_from_args(args) -> PQSchedule:
     return default_schedule()
 
 
+# The JSON form of a case file: each field that is present must be a number
+# or an object, and the objects nest as given.  Missing fields are left to
+# the readers, which name a missing required one.
+_NUMBER = (int, float)
+_CASE_FORM = {
+    "profile": {"n": _NUMBER, "t": _NUMBER, "moments": {}},
+    "envelope": {},
+    "D": _NUMBER,
+    "schedule": {"beta": _NUMBER, "table": {}},
+}
+
+
+def _check_form(data, form: dict, name: str = "") -> None:
+    """Raise a :class:`ValidationError` naming the first field of ``data``
+    (the case file, or the field ``name``) that does not have the JSON type
+    ``form`` gives it."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{name or 'case file'} must be a JSON object")
+    for key, sub in form.items():
+        if key not in data:
+            continue
+        field = f"{name}.{key}" if name else key
+        if isinstance(sub, dict):
+            _check_form(data[key], sub, field)
+        elif not isinstance(data[key], sub) or isinstance(data[key], bool):
+            raise ValidationError(f"{field} must be a number")
+
+
 def _load_case(path: str) -> tuple[MomentProfile, VarianceEnvelope, float, PQSchedule | None]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    _check_form(data, _CASE_FORM)
     profile = MomentProfile.from_dict(data["profile"])
     envelope = VarianceEnvelope.from_dict(data["envelope"])
     D = float(data.get("D", 1.0))

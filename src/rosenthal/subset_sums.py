@@ -7,16 +7,28 @@ reduces this to
 
     sum_{k=1..n} g(k-1) * w_k * e_{j-1}(w_{k+1}, ..., w_n),
 
-where e_r is the elementary symmetric polynomial of the suffix, so a single
-O(n * j) table of suffix polynomials evaluates every cardinality.  Since
+where e_r is the elementary symmetric polynomial of the suffix.  Since
 e_r(w_k, ...) = sum_{i>=k} w_i e_{r-1}(w_{i+1}, ...), each order of the
-table is one vectorised pass: a reversed cumulative sum.  Each cardinality
-is then one array of terms reduced to its correctly rounded sum, the value
-``math.fsum`` returns, so the result does not depend on the order of the
-terms.  Long arrays are reduced by an error-free pairwise fold in a few
-float64 array passes, which certifies its rounding or defers to
-``math.fsum``.  Every term is >= 0, so a sum that overflows the float range
-is +inf.  A direct enumeration oracle is provided for testing.
+suffix polynomials is one vectorised pass, a cumulative sum in reversed
+index order, and a single O(n * j) table evaluates every cardinality.
+
+In the bound, g(k) = A_k(s) = a_1(s) + ... + a_k(s) is a prefix sum.
+Swapping the two sums counts each pair (i, J) with i < min J once, so the
+same layer is
+
+    sum_{i=1..n} a_i(s) * e_j(w_{i+1}, ..., w_n),
+
+which needs no prefix sums and only the current order e_j, streamed one
+column at a time through one workspace (`_layer_sums`).  The top layer,
+whose prefix values (A_k(2))^(t/2-m) are no sum of per-step values, keeps
+the min-grouped form.
+
+Each layer is one array of terms reduced to its correctly rounded sum,
+the value ``math.fsum`` returns, so the result does not depend on the
+order of the terms.  Long arrays are reduced by an error-free pairwise
+fold in a few float64 array passes, which certifies its rounding or
+defers to ``math.fsum``.  Every term is >= 0, so a sum that overflows the
+float range is +inf.  A direct enumeration oracle is provided for testing.
 
 A :class:`MinGroupedSumSpec` holds read-only float64 copies of its weights
 and prefix values, which the kernel reads as they are; like every array
@@ -42,7 +54,7 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_N = 20
-# Shortest term array that `_layer_sum` reduces with `_fold_sum`: the measured
+# Shortest term array that `_rounded_sum` reduces with `_fold_sum`: the measured
 # crossover (2 vCPU, Python 3.11, numpy 2.4, products of uniforms).  The fold
 # and ``math.fsum`` of the list took 72 and 38 us at n = 1024, 78 and 74 us
 # at n = 2048, 83 and 172 us at n = 4096, and 0.44 and 5.3 ms at n = 1e5.
@@ -88,6 +100,23 @@ class MinGroupedSumSpec:
         return self.weights.shape[0]
 
 
+def _suffix_step(
+    w_rev: np.ndarray, prev: np.ndarray | None, out: np.ndarray, p: np.ndarray
+) -> None:
+    """One order up the suffix polynomials, in reversed index order.
+
+    With n weights and ``w_rev`` = w[::-1], ``prev[k]`` = e_{r-1}(w[n-k:])
+    for k = 0..n (None for r = 1: e_0 = 1) gives ``out[k]`` = e_r(w[n-k:]):
+    out[0] = 0 for the empty suffix, and out[1:] is the cumulative sum of
+    w_rev * prev[:n], written through the scratch ``p`` of length n, so
+    ``out`` may be ``prev``.
+    """
+    if prev is not None:
+        w_rev = np.multiply(w_rev, prev[:-1], out=p)
+    out[0] = 0.0
+    np.cumsum(w_rev, out=out[1:])
+
+
 def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndarray:
     """Table of elementary symmetric polynomials of weight suffixes.
 
@@ -100,21 +129,30 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
     if int(order) != order or order < 0:
         raise ValidationError(f"order must be an integer >= 0, got {order}")
     w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    # Column-major, so that every order is one contiguous column.
-    table = np.zeros((n + 1, int(order) + 1), order="F")
+    # Column-major, so that every order is one contiguous column; the steps
+    # run on its rows in reversed order.
+    table = np.zeros((w.shape[0] + 1, int(order) + 1), order="F")
     table[:, 0] = 1.0
+    rev, p = table[::-1], np.empty_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, int(order) + 1):
-            table[:n, r] = np.cumsum((w * table[1:, r - 1])[::-1])[::-1]
+            _suffix_step(w[::-1], rev[:, r - 1] if r > 1 else None, rev[:, r], p)
     return table
 
 
-def _fold_sum(terms: np.ndarray) -> float | None:
+def _fold_work_len(n: int) -> int:
+    """Length of the scratch `_fold_sum` takes for n terms."""
+    m = n - n // 2
+    return 2 * m + (m - m // 2) + 2 * (n // 2)
+
+
+def _fold_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float | None:
     """``math.fsum(terms)`` bit for bit, or None when that is not certified.
 
     ``terms`` is a 1-d float64 array of terms >= 0 (NaN and inf only make
-    the result None).  With u = 2^-53 and S the exact sum:
+    the result None).  Its buffers are slices of ``work``, float64 scratch
+    of at least ``_fold_work_len(n)`` entries that must not overlap
+    ``terms``, or of a fresh array.  With u = 2^-53 and S the exact sum:
 
     *Fold.*  A level takes the m current values x, pairs x[i] with
     x[m-h+i] for i < h = floor(m/2) (a middle value of odd m passes
@@ -154,9 +192,13 @@ def _fold_sum(terms: np.ndarray) -> float | None:
     if n < 2:
         return None
     # Level 1 reads ``terms``; later levels alternate between two buffers.
-    m = n - n // 2
-    hi, spare, lo = np.empty(m), np.empty(m - m // 2), np.zeros(m)
-    t, v = np.empty(n // 2), np.empty(n // 2)
+    if work is None:
+        work = np.empty(_fold_work_len(n))
+    m, h = n - n // 2, n // 2
+    o = 3 * m - m // 2
+    hi, lo, spare = work[:m], work[m : 2 * m], work[2 * m : o]
+    t, v = work[o : o + h], work[o + h : o + 2 * h]
+    lo.fill(0.0)
     x, m, d = terms, n, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while m > 1:
@@ -189,25 +231,16 @@ def _fold_sum(terms: np.ndarray) -> float | None:
     return None
 
 
-def _layer_sum(g: np.ndarray, w: np.ndarray, esp_table: np.ndarray | None, j: int) -> float:
-    """The min-grouped sum of cardinality j for weight and prefix arrays.
+def _rounded_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float:
+    """The correctly rounded sum of an array of terms >= 0.
 
-    The terms are reduced to their correctly rounded sum: by `_fold_sum`
-    for n >= ``_FOLD_MIN_N`` when it certifies its result, else by
-    ``math.fsum``.  Every term is >= 0, so an overflowing sum, and a
-    0 * inf term left by an overflowed table entry, both give +inf: the
-    value stays an upper bound.  ``esp_table`` is only read when
-    0 < j <= n.
+    By `_fold_sum` (scratch taken from ``work`` where given) for at least
+    ``_FOLD_MIN_N`` terms when it certifies its result, else by
+    ``math.fsum``.  An overflowing sum, and a NaN term (0 * inf left by an
+    overflowed factor), both give +inf: the value stays an upper bound.
     """
-    n = w.shape[0]
-    if j > n:
-        return 0.0
-    if j == 0:
-        return float(g[n])
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = g[:n] * w * esp_table[1:, j - 1]
-    if n >= _FOLD_MIN_N:
-        total = _fold_sum(terms)
+    if terms.shape[0] >= _FOLD_MIN_N:
+        total = _fold_sum(terms, work)
         if total is not None:
             return total
     try:
@@ -217,20 +250,84 @@ def _layer_sum(g: np.ndarray, w: np.ndarray, esp_table: np.ndarray | None, j: in
     return math.inf if math.isnan(total) else total
 
 
+def _layer_sums(
+    A_t: float | None,
+    moments: Sequence[np.ndarray],
+    a2: np.ndarray,
+    b: np.ndarray,
+    unit: float,
+    expo: float,
+) -> list[float]:
+    """The layers T_0..T_m of the layered bound for the weights
+    w_i = (b_i / unit)^2.
+
+    ``moments`` are the arrays a(t - 2j) for 0 < j < m, so m is
+    ``len(moments) + 1``; ``A_t`` is T_0 = A_n(t), or None for m = 0.
+    Layer 0 < j < m is sum_i a_i(t-2j) e_j(w_{i+1}..w_n), the min-grouped
+    sum of prefix values A_k(t-2j) with the two sums swapped.  The top
+    layer keeps the min-grouped form with prefix values (A_k(2))^expo
+    (0^0 := 1); for m = 0 it is (A_n(2))^expo.  Layers with j > n are 0.
+
+    One workspace serves the call: the terms (which also hold the step's
+    products and, last, the top layer's prefix values), the suffix column
+    e_j in reversed index order, updated in place by `_suffix_step` (only
+    for m >= 2), the weights, and the fold's scratch (only for
+    n >= ``_FOLD_MIN_N``).  Each layer is reduced by `_rounded_sum`.
+    """
+    n = b.shape[0]
+    m = 0 if A_t is None else len(moments) + 1
+    rows = n + 1 if m >= 2 else 0
+    fold = _fold_work_len(n) if n >= _FOLD_MIN_N else 0
+    work = np.empty(2 * n + 1 + rows + fold)
+    g, col, w, fold_work = np.split(work, np.cumsum([n + 1, rows, n]))
+    terms = g[:n]
+    np.divide(b, unit, out=w)
+    np.multiply(w, w, out=w)
+    layers = [] if A_t is None else [float(A_t)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, a in enumerate(moments, start=1):
+            if j > n:
+                layers += [0.0] * (m - j)
+                break
+            _suffix_step(w[::-1], col if j > 1 else None, col, terms)
+            layers.append(_rounded_sum(np.multiply(a[::-1], col[:n], out=terms), fold_work))
+        g[0] = 0.0
+        np.cumsum(a2, out=g[1:])
+        if expo:
+            np.power(g, expo, out=g)
+        else:
+            g.fill(1.0)
+        if m == 0:
+            layers.append(float(g[n]))
+        elif m > n:
+            layers.append(0.0)
+        else:
+            top = np.multiply(g[:n], w, out=terms)
+            if m > 1:
+                np.multiply(top, col[:n][::-1], out=top)
+            layers.append(_rounded_sum(top, fold_work))
+    return layers
+
+
 def min_grouped_sum(spec: MinGroupedSumSpec, *, esp_table: np.ndarray | None = None) -> float:
     """Sum of ``g(min J - 1) * prod_{i in J} w_i`` over all j-subsets J.
 
     The empty subset (j = 0) contributes ``g(n)``; j > n yields 0.  An
     ``esp_table`` from :func:`elementary_symmetric_suffix` of order at
-    least j - 1 may be supplied to share work across cardinalities.
+    least j - 1 may be supplied to share work across cardinalities.  The
+    terms are reduced by `_rounded_sum`.
     """
     n, j = spec.n, spec.j
-    if 0 < j <= n:
-        if esp_table is None:
-            esp_table = elementary_symmetric_suffix(spec.weights, j - 1)
-        elif esp_table.shape[0] != n + 1 or esp_table.shape[1] < j:
-            raise ValidationError("esp_table does not match the spec")
-    return _layer_sum(spec.prefix_values, spec.weights, esp_table, j)
+    if j > n:
+        return 0.0
+    if j == 0:
+        return float(spec.prefix_values[n])
+    if esp_table is None:
+        esp_table = elementary_symmetric_suffix(spec.weights, j - 1)
+    elif esp_table.shape[0] != n + 1 or esp_table.shape[1] < j:
+        raise ValidationError("esp_table does not match the spec")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rounded_sum(spec.prefix_values[:n] * spec.weights * esp_table[1:, j - 1])
 
 
 def brute_force_min_grouped_sum(spec: MinGroupedSumSpec) -> float:

@@ -117,6 +117,38 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {named} must be") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ([SHARP_CASE], "case file must be a JSON object"),
+            (dict(SHARP_CASE, profile=None), "profile must be a JSON object"),
+            (dict(SHARP_CASE, envelope=None), "envelope must be a JSON object"),
+            (dict(SHARP_CASE, schedule=None), "schedule must be a JSON object"),
+            (dict(SHARP_CASE, D=None), "D must be a number"),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], moments=[[1.0], [1.0]])),
+                "profile.moments must be a JSON object",
+            ),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], n=None)),
+                "profile.n must be a number",
+            ),
+            (
+                dict(SHARP_CASE, schedule={"kind": "beta_family", "beta": None}),
+                "schedule.beta must be a number",
+            ),
+        ],
+        ids=["list", "null profile", "null envelope", "null schedule", "null D",
+             "list moments", "null n", "null beta"],
+    )
+    @pytest.mark.parametrize("method", ["best", "theorem", "corollary", "closed", "pin94"])
+    def test_malformed_case_file(self, tmp_path, capsys, case, named, method):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(case))
+        code, out, err = run_main(["bound", "--input", str(path), "--method", method], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {named}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(["bound", "--input", "/nonexistent.json"], capsys)
         assert code == 2

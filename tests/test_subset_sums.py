@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,7 @@ from rosenthal import (
     theorem_bound,
 )
 from rosenthal.core import half_layers, pow00
-from rosenthal.subset_sums import _FOLD_MIN_N, _fold_sum
+from rosenthal.subset_sums import _FOLD_MIN_N, _fold_sum, _layer_sums
 
 
 def esp_by_enumeration(weights, r):
@@ -233,9 +234,11 @@ def two_point_case(n, t, seed):
 
 
 class TestFoldParity:
-    """Long layers take the vectorised fold; each layer is fsum's, by repr.
-    ``theorem_bound`` runs the kernel on (b_i / B_n)^2 and combines the
-    layers in logs, so its value agrees with the float sum to 1e-12."""
+    """Long layers take the vectorised fold; each min-grouped layer is
+    fsum's, by repr, and each layer of the swapped form agrees with it to
+    rounding.  ``theorem_bound`` runs the kernel on (b_i / B_n)^2 and
+    combines the layers in logs, so its value agrees with the float sum to
+    1e-12."""
 
     @pytest.mark.parametrize("n", [_FOLD_MIN_N - 1, _FOLD_MIN_N, 20_000, 100_000])
     @pytest.mark.parametrize("t", [3.0, 6.5, 11.0])
@@ -246,6 +249,14 @@ class TestFoldParity:
         table = elementary_symmetric_suffix(w, max(m - 1, 0))
         prefix = [profile.prefix_sums(t - 2.0 * j) for j in range(m)]
         prefix.append(pow00(profile.prefix_sums(2.0), t / 2.0 - m))
+        swapped = _layer_sums(
+            profile.total(t),
+            [profile.moment_array(t - 2.0 * j) for j in range(1, m)],
+            profile.moment_array(2.0),
+            envelope.b,
+            1.0,
+            t / 2.0 - m,
+        )
 
         report = theorem_bound(profile, envelope, 1.0)
         constants = report.constants["c"] + [report.constants["c_tilde"]]
@@ -257,8 +268,132 @@ class TestFoldParity:
             if j:
                 # These sums have no ties, so the fold certifies each one.
                 assert _fold_sum(g[:n] * w * table[1:, j - 1]) == layer
+            assert swapped[j] == pytest.approx(layer, rel=1e-13, abs=0.0)
             value += c * layer if layer else 0.0
         assert report.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        # The top layer keeps the min-grouped form: the same terms, by repr.
+        assert repr(swapped[m]) == repr(fsum_layer(prefix[m], w, table, m))
+
+
+@pytest.mark.parametrize("t", [3.0, 6.5, 11.0, 30.0])
+def test_theorem_bound_workspace_is_flat_in_t(t):
+    # One workspace per call, sized to m: the suffix column is streamed,
+    # so the traced peak stays below 8 n float64s at every t.
+    n = 100_000
+    profile, envelope = two_point_case(n, t, seed=3)
+    theorem_bound(profile, envelope, 1.0)
+    tracemalloc.start()
+    try:
+        theorem_bound(profile, envelope, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * 8
+    if t > 6.0:  # m >= 3: one column, one term array, the fold's scratch
+        assert peak <= 6 * n * 8
+
+
+def prefix_specs(arrays, a2, w, expo):
+    """The layers as min-grouped sums over prefix values, the form before
+    the sums were swapped: A_k(t-2j) for j < m, then (A_k(2))^expo."""
+    def prefix(a):
+        return np.concatenate([[0.0], np.cumsum(a)])
+
+    specs = [MinGroupedSumSpec(w, prefix(a), j) for j, a in enumerate(arrays)]
+    return specs + [MinGroupedSumSpec(w, pow00(prefix(a2), expo), len(arrays))]
+
+
+def swapped_layers(arrays, a2, b, expo):
+    """`_layer_sums` on the arrays a(t-2j), j < m, and the weights b_i^2,
+    with T_0 = fsum of a(t)."""
+    A_t = math.fsum(arrays[0]) if arrays else None
+    return _layer_sums(A_t, arrays[1:], a2, b, 1.0, expo)
+
+
+@st.composite
+def layer_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    t = draw(st.one_of(st.floats(0.5, 30.0), st.integers(1, 15).map(lambda k: 2.0 * k)))
+    m = half_layers(t)
+    entry = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    arrays = st.lists(entry, min_size=n, max_size=n).map(np.array)
+    return [draw(arrays) for _ in range(m)], draw(arrays), draw(arrays), t / 2.0 - m
+
+
+@given(layer_inputs())
+@settings(max_examples=200, deadline=None)
+def test_layer_sums_match_enumeration(inputs):
+    arrays, a2, b, expo = inputs
+    specs = prefix_specs(arrays, a2, b * b, expo)
+    layers = swapped_layers(arrays, a2, b, expo)
+    assert len(layers) == len(specs) == len(arrays) + 1
+    for layer, spec in zip(layers, specs):
+        oracle = brute_force_min_grouped_sum(spec)
+        assert abs(layer - oracle) <= 1e-12 * oracle
+
+
+def power_case(n, t, x, b):
+    """Steps with a_i(s) = x_i^s for s != 2 and a_i(2) = b_i^2."""
+    moments = {s: [b_i * b_i if s == 2.0 else x_i**s for x_i, b_i in zip(x, b)]
+               for s in required_exponents(t)}
+    return MomentProfile(n, t, moments), VarianceEnvelope(b)
+
+
+@pytest.mark.parametrize(
+    "profile, envelope, D, value",
+    [
+        (*power_case(0, 5.0, [], []), 1.5, 0.0),  # no steps
+        (*power_case(1, 5.0, [1.3], [1.1]), 1.5, 19.492882499999993),  # j > n
+        (*power_case(1, 6.0, [1.3], [1.1]), 1.5, 48.268090000000036),  # j > n, even t
+        (*power_case(3, 1.5, [0.5, 1.0, 2.0], [0.7, 1.0, 1.5]), 1.5, 2.6893894795239923),  # m = 0
+        (*power_case(3, 0.0, [0.5, 1.0, 2.0], [0.7, 1.0, 1.5]), 1.5, 1.0),  # m = 0, 0^0 := 1
+        (*power_case(4, 6.0, [0.5, 1.0, 2.0, 0.3], [0.7, 1.0, 1.5, 0.2]), 1.5, 9190.251665000003),
+        (*power_case(4, 8.0, [0.5, 1.0, 2.0, 0.3], [0.7, 1.0, 1.5, 0.2]), 1.5, 435795.6512244344),
+        # B_n beyond the float range: the unit is max b_i.
+        (MomentProfile(2, 3.0, {3.0: [0.0, 1.0], 2.0: [0.0, 1.0]}),
+         VarianceEnvelope([1.5e308, 1.5e308]), 1.0, 1.0),
+        (MomentProfile(3, 6.5, {s: [0.0, 1e-300, 1.0] for s in required_exponents(6.5)}),
+         VarianceEnvelope([1.5e308, 1.5e308, 1.0]), 1.0, 11.31370849898476),
+    ],
+)
+def test_layered_edge_values(profile, envelope, D, value):
+    # The values the min-grouped form over prefix sums gave on these inputs.
+    got = theorem_bound(profile, envelope, D, allow_small_t=True).value
+    assert got == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+class TestLayerSumsEdges:
+    def test_no_steps(self):
+        empty = np.zeros(0)
+        assert _layer_sums(0.0, [empty, empty], empty, empty, 1.0, 0.5) == [0.0] * 4
+        assert _layer_sums(None, [], empty, empty, 1.0, 0.75) == [0.0]
+        assert _layer_sums(None, [], empty, empty, 1.0, 0.0) == [1.0]  # 0^0 := 1
+
+    def test_one_step(self):
+        a, b = np.array([2.0]), np.array([6.0])
+        # Layers past n = 1 are 0; the top layer at m = 1 is A_0(2)^expo * w_1,
+        # with w_1 = (b_1 / unit)^2 = 9.
+        assert _layer_sums(2.0, [a, a], a, b, 2.0, 0.5) == [2.0, 0.0, 0.0, 0.0]
+        assert _layer_sums(2.0, [], a, b, 2.0, 0.5) == [2.0, 0.0]
+        assert _layer_sums(2.0, [], a, b, 2.0, 0.0) == [2.0, 9.0]
+        assert _layer_sums(None, [], a, b, 2.0, 0.5) == [math.sqrt(2.0)]
+
+    @pytest.mark.parametrize("t", [2.0, 3.0, 6.0, 6.5, 12.0, 13.0])
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_against_min_grouped_sum(self, n, t):
+        rng = np.random.default_rng(n)
+        m = half_layers(t)
+        arrays = [rng.uniform(0.0, 2.0, n) for _ in range(m)]
+        a2, b = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+        layers = swapped_layers(arrays, a2, b, t / 2.0 - m)
+        specs = prefix_specs(arrays, a2, b * b, t / 2.0 - m)
+        for j, (layer, spec) in enumerate(zip(layers, specs)):
+            if j > n:
+                assert layer == 0.0
+            elif j == m:  # the same min-grouped terms, so the same sum
+                assert repr(layer) == repr(min_grouped_sum(spec))
+            else:
+                assert layer == pytest.approx(min_grouped_sum(spec), rel=1e-13, abs=0.0)
 
 
 # Nonnegative terms over the whole float range: zeros, subnormals, normals.
