@@ -119,6 +119,16 @@ def smoothness_value(D) -> float:
     return v
 
 
+def _entries_ok(a: np.ndarray, positive: bool = False) -> bool:
+    """Whether every entry of ``a`` is finite and >= 0 (> 0 with
+    ``positive``), by one min and one max: NaN fails both comparisons,
+    and -0.0 passes >= 0 but not > 0."""
+    if not a.size:
+        return True
+    lo = a.min()
+    return bool((lo > 0.0 if positive else lo >= 0.0) and a.max() < math.inf)
+
+
 def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
     """The one form of a per-index input: a read-only 1-d float64 copy of
     ``values`` whose entries are finite and >= 0 (> 0 with ``positive``),
@@ -129,7 +139,7 @@ def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
         raise ValidationError(f"{name} must be a sequence of numbers") from None
     if a.ndim != 1:
         raise ValidationError(f"{name} must be a flat sequence")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0 if positive else a < 0):
+    if not _entries_ok(a, positive):
         raise ValidationError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
     a.setflags(write=False)
     return a
@@ -139,6 +149,11 @@ class MomentProfile:
     """Per-increment absolute moments a_i(s) on a fixed exponent grid.
 
     ``moments`` maps each exponent s to the sequence (a_1(s), ..., a_n(s)).
+    The sequences are copied, in one pass, into the rows of one read-only
+    (k, n) float64 block with one check of its entries, so a later change
+    to the caller's arrays changes nothing; where an exponent or a
+    sequence fails, the sequences are checked one by one to name it.
+    Exponents with the same :func:`exponent_key` keep the last sequence.
     A profile with target exponent ``t`` must store every exponent in
     :func:`required_exponents`; moments at unstored exponents are never
     inferred by interpolation.
@@ -166,6 +181,37 @@ class MomentProfile:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "t", t)
 
+        try:
+            exps_seq = [float(s) for s in moments]
+            block = np.array(list(moments.values()), dtype=float)
+        except (TypeError, ValueError, OverflowError):  # named by the one-by-one checks
+            block = None
+        if (
+            block is not None
+            and block.shape == (len(exps_seq), self.n)
+            and all(math.isfinite(s) and s >= 0.0 for s in exps_seq)
+            and _entries_ok(block)
+        ):
+            block.setflags(write=False)
+            keys = [exponent_key(s) for s in exps_seq]
+            arrays = dict(zip(keys, block))
+            exps = dict(zip(keys, exps_seq))
+        else:
+            arrays, exps = self._checked_rows(moments)
+        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_exponents", exps)
+
+        missing = [s for s in required_exponents(t) if exponent_key(s) not in arrays]
+        if missing:
+            raise ValidationError(
+                f"profile for t={t} is missing required exponents {missing}"
+            )
+        if exact:
+            self._warn_if_not_log_convex()
+
+    def _checked_rows(self, moments) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+        """The sequences checked one by one: the first bad exponent or
+        sequence raises a :class:`ValidationError` that names it."""
         arrays: dict[str, np.ndarray] = {}
         exps: dict[str, float] = {}
         for s, seq in moments.items():
@@ -180,16 +226,7 @@ class MomentProfile:
             key = exponent_key(s)
             arrays[key] = a
             exps[key] = s
-        object.__setattr__(self, "_arrays", arrays)
-        object.__setattr__(self, "_exponents", exps)
-
-        missing = [s for s in required_exponents(t) if exponent_key(s) not in arrays]
-        if missing:
-            raise ValidationError(
-                f"profile for t={t} is missing required exponents {missing}"
-            )
-        if exact:
-            self._warn_if_not_log_convex()
+        return arrays, exps
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("MomentProfile is immutable")

@@ -53,6 +53,18 @@ def validate_pq(p: float, q: float, s: float, *, rtol: float = _PQ_RTOL) -> bool
     return p**u + q**u <= 1.0 + tol
 
 
+def _pair(s: float, entry) -> tuple[float, float]:
+    """A custom table's entry at exponent s as two floats (p, q), or a
+    :class:`ValidationError` that names s."""
+    try:
+        p, q = entry
+        if not isinstance(p, (str, bytes)) and not isinstance(q, (str, bytes)):
+            return float(p), float(q)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"table entry at s={s} must be a pair of numbers (p, q), got {entry!r}")
+
+
 @dataclass(frozen=True)
 class PQSchedule:
     """A concrete choice of the weight functions p and q.
@@ -74,13 +86,14 @@ class PQSchedule:
             if not self.table:
                 raise ValidationError("custom schedule needs a nonempty table")
             checked = {}
-            for s, (p, q) in dict(self.table).items():
+            for s, entry in dict(self.table).items():
                 s = float(s)
-                if not validate_pq(float(p), float(q), s):
+                p, q = _pair(s, entry)
+                if not validate_pq(p, q, s):
                     raise ValidationError(
                         f"pair (p={p}, q={q}) is inadmissible at s={s}"
                     )
-                checked[exponent_key(s)] = (float(p), float(q))
+                checked[exponent_key(s)] = (p, q)
             object.__setattr__(self, "table", checked)
         else:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
@@ -108,7 +121,7 @@ class PQSchedule:
     def from_dict(cls, data: Mapping) -> "PQSchedule":
         if data["kind"] == "beta_family":
             return cls.beta_family(float(data["beta"]))
-        return cls.custom({float(k): tuple(v) for k, v in data["table"].items()})
+        return cls.custom({float(k): v for k, v in data["table"].items()})
 
 
 def pq_eval(schedule: PQSchedule, s: float) -> tuple[float, float]:

@@ -25,9 +25,10 @@ the min-grouped form.
 
 Each layer is one array of terms reduced to its correctly rounded sum,
 the value ``math.fsum`` returns, so the result does not depend on the
-order of the terms.  Long arrays are reduced by an error-free pairwise
-fold in a few float64 array passes, which certifies its rounding or
-defers to ``math.fsum``.  Every term is >= 0, so a sum that overflows the
+order of the terms.  Long arrays are split error-free into a high part
+that sums exactly and a small residual (Rump, Ogita and Oishi's
+ExtractVector) in a few float64 array passes, which certify the rounding
+or defer to ``math.fsum``.  Every term is >= 0, so a sum that overflows the
 float range is +inf.  A direct enumeration oracle is provided for testing.
 
 A :class:`MinGroupedSumSpec` holds read-only float64 copies of its weights
@@ -54,15 +55,16 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_N = 20
-# Shortest term array that `_rounded_sum` reduces with `_fold_sum`: the measured
-# crossover (2 vCPU, Python 3.11, numpy 2.4, products of uniforms).  The fold
-# and ``math.fsum`` of the list took 72 and 38 us at n = 1024, 78 and 74 us
-# at n = 2048, 83 and 172 us at n = 4096, and 0.44 and 5.3 ms at n = 1e5.
-_FOLD_MIN_N = 2048
-# The fold certifies totals in [2^-900, 2^1000]: there its error bound and
-# the half gaps around the total are normal floats, and no sum overflows.
-_FOLD_MIN_TOTAL = 2.0**-900
-_FOLD_MAX_TOTAL = 2.0**1000
+# Shortest term array that `_rounded_sum` reduces with `_split_sum`: the measured
+# crossover (2 vCPU, Python 3.11, numpy 2.4, products of uniforms).  The split
+# sum and ``math.fsum`` of the list took 6.9 and 3.6 us at n = 128, about 7
+# to 12 us each at n = 256 (a tie within the host's noise), 7.6 and 15.6 us
+# at n = 512, and 0.20 and 6.5 ms at n = 1e5.
+_SPLIT_MIN_N = 256
+# `_split_sum` certifies totals in [2^-900, 2^1000]: there its error bound
+# and the half gaps around the total are normal floats, and no sum overflows.
+_SPLIT_MIN_TOTAL = 2.0**-900
+_SPLIT_MAX_TOTAL = 2.0**1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,107 +142,95 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
     return table
 
 
-def _fold_work_len(n: int) -> int:
-    """Length of the scratch `_fold_sum` takes for n terms."""
-    m = n - n // 2
-    return 2 * m + (m - m // 2) + 2 * (n // 2)
-
-
-def _fold_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float | None:
+def _split_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float | None:
     """``math.fsum(terms)`` bit for bit, or None when that is not certified.
 
-    ``terms`` is a 1-d float64 array of terms >= 0 (NaN and inf only make
-    the result None).  Its buffers are slices of ``work``, float64 scratch
-    of at least ``_fold_work_len(n)`` entries that must not overlap
-    ``terms``, or of a fresh array.  With u = 2^-53 and S the exact sum:
+    ``terms`` is a 1-d float64 array of n terms >= 0 (NaN and inf only make
+    the result None); it is only read.  Round 1 writes into ``work``,
+    float64 scratch of at least n entries that must not overlap ``terms``,
+    or into a fresh array; a round 2, when needed, into another fresh
+    array.  With u = 2^-53, S the exact sum and 2^M >= n + 2, each round
+    is ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008) on the current
+    values x, |x_i| <= 2^-M sigma for a power of two sigma:
 
-    *Fold.*  A level takes the m current values x, pairs x[i] with
-    x[m-h+i] for i < h = floor(m/2) (a middle value of odd m passes
-    through), and replaces each pair a, b by s = fl(a + b).  TwoSum (Knuth)
-    gives the error e = (a - (s - bb)) + (b - bb), bb = s - a, exactly:
-    a + b = s + e.  After d = ceil(log2 n) levels one value H is left, and
-    S = H + E exactly, where E sums every e.
+    *Split.*  q_i = fl(fl(sigma + x_i) - sigma) and r_i = x_i - q_i.
+    fl(sigma + x_i) lies in [sigma/2, 2 sigma], so the subtraction is
+    exact (Sterbenz) and q_i is a multiple of v = max(u sigma, 2^-1074)
+    with |q_i| <= 2^-M sigma (rounding is monotone and sigma +- 2^-M sigma
+    are floats).  r_i is the rounding error of sigma + x_i, so it is a
+    float, |r_i| <= u sigma, and its subtraction is exact too (their
+    Lemma 3.3).
 
-    *Size of E.*  Round to nearest gives |e| <= u (a + b).  Every value is
-    a rounded sum of terms >= 0, so the values of a level sum to at most
-    (1+u)^(k-1) S before level k, and sum |e| <= d u (1+u)^(d-1) S.  Each
-    term enters H through at most d roundings, so H >= (1-u)^d S.
+    *High part.*  Every partial sum of the q_i is a multiple of v below
+    n 2^-M sigma < sigma <= 2^53 v in magnitude, hence a float: T = sum q_i
+    is exact in any order.  So S = T_1 + sum r_i after round 1,
+    and round 2 splits the r_i again, S = T_1 + T_2 + sum r'_i.
 
-    *Errors of E.*  The errors fold alongside in ``lo``:
-    lo[i] <- fl(fl(lo[i] + lo[m-h+i]) + e[i]).  An error of level k meets
-    one rounding then and at most two per later level, at most 2d - 1 in
-    all, so the computed L obeys |E - L| <= gamma_(2d-1) sum |e|, with
-    gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., Lemma 3.1).  Together
+    *Residual.*  R = fl(sum r_i) in whatever order numpy adds, each term
+    through at most n - 1 roundings, so |R - sum r_i| <= gamma_(n-1) n u
+    sigma with gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 4.2); additions do not
+    underflow.  delta = n^2 2^-105 max(sigma, 2^-900) = 2 n^2 u^2
+    max(sigma, 2^-900) is above that bound; the factor 2 covers the two
+    roundings of its computation, and the floor keeps it normal.
 
-        |S - (H + L)| <= gamma_(2d-1) d u (1+u)^(d-1) (1-u)^(-d) H
-                       < 3 d^2 u^2 H                  (d < 64 for any array),
-
-    and delta = d^2 2^-104 H = 4 d^2 u^2 H, computed with one rounding
-    (the power of two scales exactly), is above it.
-
-    *Certificate.*  TwoSum once more gives H + L = r + tau exactly, so
-    S - r lies in [tau - delta, tau + delta].  When that interval lies
-    strictly inside (-g_down/2, g_up/2), g_up and g_down the gaps from r to
-    its neighbours, S rounds to r, which is what ``math.fsum`` returns (it
-    rounds the exact sum to nearest).  Both gaps are exact, the bounds
-    on the total keep them and delta normal, and a rounded comparison
-    fl(tau + delta) < g_up/2 implies the exact one because rounding is
-    monotone and g_up/2 is a float.  A half-ulp tie never passes.
+    *Certificate.*  s = fsum(T.., R) and tau = fsum(T.., R, -s): tau is
+    T.. + R - s rounded to nearest, within ulp(tau) of it, so S - s lies
+    in tau +- e with e = delta + ulp(tau) <= 2 max(delta, ulp(tau)) =: eps
+    (exact).  When tau +- eps lies strictly inside (-g_down/2, g_up/2),
+    g_up and g_down the gaps from s to its neighbours, S rounds to s,
+    which is what ``math.fsum`` returns (it rounds the exact sum to
+    nearest).  A rounded comparison fl(tau + eps) < g_up/2 implies the
+    exact one because rounding is monotone and g_up/2 is a float, and a
+    half-ulp tie never passes.  Totals are certified in [2^-900, 2^1000]:
+    there both gaps are normal and exact.  Terms with n max x_i < 2^-900,
+    whose total is below that range, are refused before any pass, so round
+    1 has sigma > n max x_i >= 2^-900; and sigma <= 2^1022, so every
+    sigma + x_i is finite.
     """
     n = terms.shape[0]
-    if n < 2:
+    top = float(terms.max()) if n > 1 else math.nan
+    # NaN and inf terms, and totals below the certified range, stop here.
+    if not (math.isfinite(top) and n * top >= _SPLIT_MIN_TOTAL):
         return None
-    # Level 1 reads ``terms``; later levels alternate between two buffers.
     if work is None:
-        work = np.empty(_fold_work_len(n))
-    m, h = n - n // 2, n // 2
-    o = 3 * m - m // 2
-    hi, lo, spare = work[:m], work[m : 2 * m], work[2 * m : o]
-    t, v = work[o : o + h], work[o + h : o + 2 * h]
-    lo.fill(0.0)
-    x, m, d = terms, n, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m > 1:
-            h = m // 2
-            a, b = x[:h], x[m - h : m]
-            s = np.add(a, b, out=hi[:h])
-            bb = np.subtract(s, a, out=t[:h])
-            av = np.subtract(s, bb, out=v[:h])
-            e = np.add(np.subtract(a, av, out=av), np.subtract(b, bb, out=bb), out=av)
-            lo_h = lo[:h]
-            if d:
-                np.add(lo_h, lo[m - h : m], out=lo_h)
-            np.add(lo_h, e, out=lo_h)
-            if m % 2:
-                hi[h] = x[h]
-            x, hi, spare = hi, spare, hi
-            m -= h
-            d += 1
-    H, L = float(x[0]), float(lo[0])
-    if not _FOLD_MIN_TOTAL <= H <= _FOLD_MAX_TOTAL:
-        return None
-    r = H + L
-    z = r - H
-    tau = (H - (r - z)) + (L - z)
-    delta = d * d * H * 2.0**-104
-    half_up = (math.nextafter(r, math.inf) - r) / 2
-    half_down = (r - math.nextafter(r, 0.0)) / 2
-    if tau + delta < half_up and delta - tau < half_down:
-        return r
-    return None
+        work = np.empty(n)
+    M = (n + 1).bit_length()
+    x, out, highs = terms, work, []
+    while True:
+        k = math.frexp(top)[1] + M  # 2^-M sigma = 2^(frexp exponent) > max |x_i|
+        if k > 1022:
+            return None
+        sigma = math.ldexp(1.0, k)
+        q = np.add(x, sigma, out=out)
+        np.subtract(q, sigma, out=q)
+        highs.append(float(q.sum()))
+        r = np.subtract(x, q, out=q)
+        rest = float(r.sum())
+        s = math.fsum([*highs, rest])
+        if not _SPLIT_MIN_TOTAL <= s <= _SPLIT_MAX_TOTAL:
+            return None
+        tau = math.fsum([*highs, rest, -s])
+        eps = 2.0 * max(n * n * 2.0**-105 * max(sigma, _SPLIT_MIN_TOTAL), math.ulp(tau))
+        if (tau + eps < (math.nextafter(s, math.inf) - s) / 2
+                and eps - tau < (s - math.nextafter(s, 0.0)) / 2):
+            return s
+        if len(highs) == 2:
+            return None
+        x, out, top = r, np.empty(n), max(float(r.max()), -float(r.min()))
 
 
 def _rounded_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float:
     """The correctly rounded sum of an array of terms >= 0.
 
-    By `_fold_sum` (scratch taken from ``work`` where given) for at least
-    ``_FOLD_MIN_N`` terms when it certifies its result, else by
+    By `_split_sum` (scratch taken from ``work`` where given) for at least
+    ``_SPLIT_MIN_N`` terms when it certifies its result, else by
     ``math.fsum``.  An overflowing sum, and a NaN term (0 * inf left by an
     overflowed factor), both give +inf: the value stays an upper bound.
     """
-    if terms.shape[0] >= _FOLD_MIN_N:
-        total = _fold_sum(terms, work)
+    if terms.shape[0] >= _SPLIT_MIN_N:
+        total = _split_sum(terms, work)
         if total is not None:
             return total
     try:
@@ -271,15 +261,16 @@ def _layer_sums(
     One workspace serves the call: the terms (which also hold the step's
     products and, last, the top layer's prefix values), the suffix column
     e_j in reversed index order, updated in place by `_suffix_step` (only
-    for m >= 2), the weights, and the fold's scratch (only for
-    n >= ``_FOLD_MIN_N``).  Each layer is reduced by `_rounded_sum`.
+    for m >= 2), the weights, and n entries of scratch for `_split_sum`
+    (only for n >= ``_SPLIT_MIN_N``).  Each layer is reduced by
+    `_rounded_sum`.
     """
     n = b.shape[0]
     m = 0 if A_t is None else len(moments) + 1
     rows = n + 1 if m >= 2 else 0
-    fold = _fold_work_len(n) if n >= _FOLD_MIN_N else 0
-    work = np.empty(2 * n + 1 + rows + fold)
-    g, col, w, fold_work = np.split(work, np.cumsum([n + 1, rows, n]))
+    scratch = n if n >= _SPLIT_MIN_N else 0
+    work = np.empty(2 * n + 1 + rows + scratch)
+    g, col, w, split_work = np.split(work, np.cumsum([n + 1, rows, n]))
     terms = g[:n]
     np.divide(b, unit, out=w)
     np.multiply(w, w, out=w)
@@ -290,7 +281,7 @@ def _layer_sums(
                 layers += [0.0] * (m - j)
                 break
             _suffix_step(w[::-1], col if j > 1 else None, col, terms)
-            layers.append(_rounded_sum(np.multiply(a[::-1], col[:n], out=terms), fold_work))
+            layers.append(_rounded_sum(np.multiply(a[::-1], col[:n], out=terms), split_work))
         g[0] = 0.0
         np.cumsum(a2, out=g[1:])
         if expo:
@@ -305,7 +296,7 @@ def _layer_sums(
             top = np.multiply(g[:n], w, out=terms)
             if m > 1:
                 np.multiply(top, col[:n][::-1], out=top)
-            layers.append(_rounded_sum(top, fold_work))
+            layers.append(_rounded_sum(top, split_work))
     return layers
 
 

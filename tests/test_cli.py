@@ -149,6 +149,17 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {named}\n"
 
+    @pytest.mark.parametrize("entry", [5, [None, 1], [1, 2, 3], "ab"],
+                             ids=["number", "null", "triple", "string"])
+    def test_custom_table_entry_not_a_pair(self, tmp_path, capsys, entry):
+        case = dict(SHARP_CASE, schedule={"kind": "custom", "table": {"3": entry}})
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(case))
+        code, out, err = run_main(["bound", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: table entry at s=3.0 must be a pair of numbers")
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(["bound", "--input", "/nonexistent.json"], capsys)
         assert code == 2

@@ -130,13 +130,15 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "bad",
-        [[1.0, math.nan], [1.0, math.inf], [1.0, -1.0], [1.0, 0.0], [[1.0], [1.0]], [{}, 1.0]],
-        ids=["nan", "inf", "negative", "zero", "2-d", "not a number"],
+        [[1.0, math.nan], [1.0, math.inf], [1.0, -1.0], [1.0, 0.0], [1.0, -0.0], [1.0, 5e-324],
+         [[1.0], [1.0]], [{}, 1.0]],
+        ids=["nan", "inf", "negative", "zero", "negative zero", "subnormal", "2-d", "not a number"],
     )
     @pytest.mark.parametrize("kind", PER_INDEX_INPUTS)
     def test_per_index_inputs(self, kind, bad):
         build, name, positive = PER_INDEX_INPUTS[kind]
-        if bad == [1.0, 0.0] and not positive:
+        # -0.0 == 0.0: it passes >= 0 and fails > 0; the smallest subnormal passes both.
+        if bad == [1.0, 5e-324] or (bad == [1.0, 0.0] and not positive):
             build(bad)
             return
         with pytest.raises(ValidationError, match=f"^{name} must be"):
@@ -152,6 +154,44 @@ class TestValidation:
         with pytest.raises(AttributeError):
             env.b = None
         assert not env.b.flags.writeable
+
+
+class TestMomentBlock:
+    def test_rows_are_views_of_one_read_only_block(self):
+        p = MomentProfile(3, 5.0, {5.0: [1.0, 2.0, 3.0], 3.0: (4, 5, 6), 2.0: np.ones(3)})
+        rows = [p.moment_array(s) for s in (5.0, 3.0, 2.0)]
+        block = rows[0].base
+        assert block is not None and block.shape == (3, 3)
+        assert all(row.base is block for row in rows)
+        assert not block.flags.writeable and not any(row.flags.writeable for row in rows)
+        assert [row.tolist() for row in rows] == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0] * 3]
+
+    def test_later_writes_change_nothing(self):
+        a3, a2 = np.array([1.0, 2.0]), [3.0, 4.0]
+        p = MomentProfile(2, 3.0, {3.0: a3, 2.0: a2})
+        a3[:] = 99.0
+        a2[0] = 99.0
+        assert p.moment_array(3.0).tolist() == [1.0, 2.0]
+        assert p.moment_array(2.0).tolist() == [3.0, 4.0]
+
+    def test_duplicate_keys_keep_the_last_sequence(self):
+        p = MomentProfile(1, 4.1, {4.1: [1.0], 2.1: [2.0], 4.1 - 2.0: [3.0], 2.0: [1.0]})
+        assert p.moment_array(2.1).tolist() == [3.0]
+        assert p.exponents == (2.0, 4.1 - 2.0, 4.1)
+
+    @pytest.mark.parametrize(
+        "moments, named",
+        [
+            ({3.0: [math.nan], -1.0: [1.0], 2.0: [1.0]}, "moments at s=3.0 must be finite"),
+            ({-1.0: [1.0], 3.0: [math.nan], 2.0: [1.0]}, "moment exponent must be finite"),
+            ({3.0: [1.0, 1.0], 2.0: [-1.0]}, "moments at s=3.0 must be a length-1"),
+            ({3.0: [1.0], 2.0: [[1.0]]}, "moments at s=2.0 must be a flat"),
+        ],
+    )
+    def test_first_failure_is_named(self, moments, named):
+        # A failing block is checked one sequence at a time, in the given order.
+        with pytest.raises(ValidationError, match=f"^{named}"):
+            MomentProfile(1, 3.0, moments)
 
 
 class TestExponentKeys:

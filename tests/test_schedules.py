@@ -95,6 +95,15 @@ class TestCustomSchedule:
         with pytest.raises(ValidationError):
             PQSchedule.custom({})
 
+    @pytest.mark.parametrize("entry", [5, [None, 1], [1, 2, 3], "ab"],
+                             ids=["number", "null", "triple", "string"])
+    def test_entry_not_a_pair_rejected(self, entry):
+        named = r"^table entry at s=3\.0 must be a pair of numbers"
+        with pytest.raises(ValidationError, match=named):
+            PQSchedule.custom({3.0: entry})
+        with pytest.raises(ValidationError, match=named):
+            PQSchedule.from_dict({"kind": "custom", "table": {"3": entry}})
+
 
 def test_json_round_trip():
     for sched in (

@@ -20,7 +20,7 @@ from rosenthal import (
     theorem_bound,
 )
 from rosenthal.core import half_layers, pow00
-from rosenthal.subset_sums import _FOLD_MIN_N, _fold_sum, _layer_sums
+from rosenthal.subset_sums import _SPLIT_MIN_N, _layer_sums, _split_sum
 
 
 def esp_by_enumeration(weights, r):
@@ -200,13 +200,13 @@ class TestOverflow:
         assert min_grouped_sum(spec) == math.inf
 
     def test_long_overflowing_sum_is_inf(self):
-        # n >= the fold threshold: finite terms whose sum overflows.
-        spec = MinGroupedSumSpec((1e306,) * _FOLD_MIN_N, (1.0,) * (_FOLD_MIN_N + 1), 1)
+        # n >= the split threshold: finite terms whose sum overflows.
+        spec = MinGroupedSumSpec((1e306,) * _SPLIT_MIN_N, (1.0,) * (_SPLIT_MIN_N + 1), 1)
         assert min_grouped_sum(spec) == math.inf
 
     def test_long_inf_and_nan_terms_are_inf(self):
         # e_2(w[k+1:]) overflows: the terms are inf, and NaN where g(k) = 0.
-        n = _FOLD_MIN_N + 5
+        n = _SPLIT_MIN_N + 5
         spec = MinGroupedSumSpec((1e200,) * n, (0.0,) + (1.0,) * n, 3)
         assert min_grouped_sum(spec) == math.inf
         spec = MinGroupedSumSpec((1e200,) * n, (0.0,) * (n + 1), 3)
@@ -234,13 +234,13 @@ def two_point_case(n, t, seed):
 
 
 class TestFoldParity:
-    """Long layers take the vectorised fold; each min-grouped layer is
+    """Long layers take the vectorised split sum; each min-grouped layer is
     fsum's, by repr, and each layer of the swapped form agrees with it to
     rounding.  ``theorem_bound`` runs the kernel on (b_i / B_n)^2 and
     combines the layers in logs, so its value agrees with the float sum to
     1e-12."""
 
-    @pytest.mark.parametrize("n", [_FOLD_MIN_N - 1, _FOLD_MIN_N, 20_000, 100_000])
+    @pytest.mark.parametrize("n", [2047, 2048, 20_000, 100_000])
     @pytest.mark.parametrize("t", [3.0, 6.5, 11.0])
     def test_matches_fsum_per_layer(self, n, t):
         profile, envelope = two_point_case(n, t, seed=n)
@@ -266,8 +266,8 @@ class TestFoldParity:
             spec = MinGroupedSumSpec(tuple(w), tuple(g), j)
             assert repr(min_grouped_sum(spec, esp_table=table)) == repr(layer)
             if j:
-                # These sums have no ties, so the fold certifies each one.
-                assert _fold_sum(g[:n] * w * table[1:, j - 1]) == layer
+                # These sums have no ties, so the split sum certifies each one.
+                assert _split_sum(g[:n] * w * table[1:, j - 1]) == layer
             assert swapped[j] == pytest.approx(layer, rel=1e-13, abs=0.0)
             value += c * layer if layer else 0.0
         assert report.value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -289,7 +289,7 @@ def test_theorem_bound_workspace_is_flat_in_t(t):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * 8
-    if t > 6.0:  # m >= 3: one column, one term array, the fold's scratch
+    if t > 6.0:  # m >= 3: one column, one term array, the split sum's scratch
         assert peak <= 6 * n * 8
 
 
@@ -397,7 +397,7 @@ class TestLayerSumsEdges:
 
 
 # Nonnegative terms over the whole float range: zeros, subnormals, normals.
-fold_terms = st.lists(
+split_terms = st.lists(
     st.one_of(
         st.just(0.0),
         st.floats(min_value=5e-324, max_value=2.0**-1022, allow_subnormal=True),
@@ -408,10 +408,10 @@ fold_terms = st.lists(
 )
 
 
-@given(fold_terms)
+@given(split_terms)
 @settings(max_examples=400, deadline=None)
-def test_fold_sum_is_fsum_or_none(xs):
-    got = _fold_sum(np.array(xs, dtype=float))
+def test_split_sum_is_fsum_or_none(xs):
+    got = _split_sum(np.array(xs, dtype=float))
     if got is not None:
         assert repr(got) == repr(math.fsum(xs))
 
@@ -423,31 +423,54 @@ def test_fold_sum_is_fsum_or_none(xs):
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=200, deadline=None)
-def test_fold_sum_defers_on_ties(r, split, zeros, random):
+def test_split_sum_defers_on_ties(r, split, zeros, random):
     # r plus half the gap to its upper neighbour, in 2^split equal pieces:
     # the exact sum is a half-ulp tie, which only fsum may round.
     half = (math.nextafter(r, math.inf) - r) / 2
     xs = [r] + [half / 2**split] * 2**split + [0.0] * zeros
     random.shuffle(xs)
     assert math.fsum(xs) in (r, math.nextafter(r, math.inf))
-    assert _fold_sum(np.array(xs)) is None
+    x = np.array(xs)
+    before = x.tobytes()
+    assert _split_sum(x) is None
+    assert x.tobytes() == before  # the terms are only read
 
 
-def test_fold_sum_certifies_long_arrays():
+def test_split_sum_certifies_long_arrays():
     rng = np.random.default_rng(4)
-    for n in (2, 3, 1000, _FOLD_MIN_N, 150_001):
+    for n in (2, 3, 1000, 2048, 150_001):
         for scale in (1e-250, 1.0, 1e250):
             x = rng.exponential(scale, n)
             x[rng.random(n) < 0.2] = 0.0
-            got = _fold_sum(x)
+            got = _split_sum(x)
             assert got is not None
             assert repr(got) == repr(math.fsum(x.tolist()))
 
 
-def test_fold_sum_defers_out_of_range():
-    assert _fold_sum(np.array([])) is None
-    assert _fold_sum(np.array([1.0])) is None
-    assert _fold_sum(np.full(_FOLD_MIN_N, 1e-280)) is None  # total below 2^-900
-    assert _fold_sum(np.full(_FOLD_MIN_N, 1e300)) is None  # total above 2^1000
-    assert _fold_sum(np.array([1.0, math.inf])) is None
-    assert _fold_sum(np.array([1.0, math.nan, 2.0])) is None
+def test_split_sum_defers_out_of_range():
+    assert _split_sum(np.array([])) is None
+    assert _split_sum(np.array([1.0])) is None
+    assert _split_sum(np.full(2048, 1e-280)) is None  # total below 2^-900
+    assert _split_sum(np.full(2048, 1e300)) is None  # total above 2^1000
+    assert _split_sum(np.array([1.0, math.inf])) is None
+    assert _split_sum(np.array([1.0, math.nan, 2.0])) is None
+
+
+def test_split_sum_second_round(monkeypatch):
+    # Layer j = 3 of a t = 30 profile, whose sum is only about 10 times its
+    # largest term: round 1 leaves too wide an error bound, and round 2,
+    # which allocates its own buffer, certifies fsum's value; the terms are
+    # only read.
+    n, j = 100_000, 3
+    profile, envelope = two_point_case(n, 30.0, seed=3)
+    w = (envelope.b / envelope.total()) ** 2
+    terms = profile.moment_array(30.0 - 2 * j) * elementary_symmetric_suffix(w, j)[1:, j]
+    assert terms.sum() < 16.0 * terms.max()
+    before = terms.tobytes()
+    empty, work, buffers = np.empty, np.empty(n), []
+    monkeypatch.setattr(np, "empty", lambda *a, **k: buffers.append(a) or empty(*a, **k))
+    got = _split_sum(terms, work)
+    monkeypatch.undo()
+    assert buffers == [(n,)]
+    assert repr(got) == repr(math.fsum(terms.tolist()))
+    assert terms.tobytes() == before
