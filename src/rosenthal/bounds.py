@@ -10,9 +10,12 @@ unspecified absolute constant K.  ``best_bound`` scans every applicable
 candidate and returns the smallest.
 
 Each closed form is one row of the private table ``_CLOSED_FORMS``: its
-t-interval, whether ``best_bound`` scans it, its leading factor and its
-formula.  One evaluator, ``_closed_form``, makes the checks every form
-shares, evaluates the form in logs and builds the report.
+t-interval, whether ``best_bound`` scans it, and its formula.  t3,
+closed_2_3, closed_3_4 and hilbert_2_4 are the aggregation at one layer,
+so they equal ``corollary_bound`` bit for bit where it has one layer;
+closed_min minimizes that form over its split point.  One evaluator,
+``_closed_form``, makes the checks every form shares, evaluates the form
+in logs and builds the report.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .constants import (
     _aggregate,
     _check_t,
     _log_balanced_beta_terms,
+    _log_coefficients,
     _log_layers,
     _log_smooth,
 )
@@ -45,7 +49,7 @@ from .core import (
     smoothness_value,
 )
 from .optimize import _minimize_log_sum_exp_beta, golden_section_minimize
-from .schedules import PQSchedule, default_schedule
+from .schedules import DEFAULT_BETA, PQSchedule, default_schedule
 from .subset_sums import _layer_sums
 
 __all__ = [
@@ -193,25 +197,16 @@ def _aggregated(
     )
 
 
-def _smooth_front(t, D):
-    return _log_smooth(t - 2, D) - math.log(t - 1)
+def _one_layer(t, D, log_A, log_Bt, alpha=DEFAULT_BETA):
+    """log(C_A A_t + C_B B^t) and {"C_A", "C_B"} of the aggregation at one
+    layer (m = 1, also at t = 4) with unit lambda at beta_family(alpha)."""
+    log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(alpha), 1)
+    return _two_coefficients(*_log_coefficients(t, log_c, log_top, [0.0]), log_A, log_Bt)
 
 
-def _hilbert_front(t, D):
-    return max(0.0, t - 3.0) * math.log(2.0)
-
-
-def _two_term(front, t, log_A, log_Bt):
-    return _two_coefficients(front, front + math.log(t - 1), log_A, log_Bt)
-
-
-def _split(front, t, log_A, log_Bt, alpha):
-    log_ca = front - (t - 3) * math.log(alpha)
-    log_cb = front + math.log(t - 1) - (t - 3) * math.log1p(-alpha)
-    return _two_coefficients(log_ca, log_cb, log_A, log_Bt)
-
-
-def _split_min(front, t, log_A, log_Bt):
+def _split_min(t, D, log_A, log_Bt):
+    """`_one_layer` minimized over its split point alpha in closed form."""
+    front = _log_smooth(t - 2, D) - math.log(t - 1)
     s = max(1.0, t - 2.0)
     core = _log_sum([log_A / s, (math.log(t - 1) + log_Bt) / s])
     return front + s * core, {"front": _exp(front), "s_t": s}
@@ -221,8 +216,7 @@ class _ClosedForm(NamedTuple):
     interval: str  # the t-interval, "(lo, hi]" or "[lo, hi]"
     scanned: bool  # a best_bound candidate; at D = 1 only, with hilbert
     hilbert: bool  # holds in the Hilbert case D = 1 only
-    front: Callable[[float, float], float]  # (t, D) -> log of the leading factor
-    # (log front, t, log A_t, log B^t, **params) -> (log value, report constants)
+    # (t, D, log A_t, log B^t, **params) -> (log value, report constants)
     formula: Callable[..., tuple[float, dict]]
 
     def covers(self, t) -> bool:
@@ -233,11 +227,11 @@ class _ClosedForm(NamedTuple):
 # The closed forms, in the order of BOUND_METHODS.  t3 is closed_2_3 at
 # t = 3 and closed_3_4 needs its split point, so best_bound scans neither.
 _CLOSED_FORMS = {
-    "t3": _ClosedForm("[3, 3]", False, False, _smooth_front, _two_term),
-    "closed_2_3": _ClosedForm("(2, 3]", True, False, _smooth_front, _two_term),
-    "closed_3_4": _ClosedForm("[3, 4]", False, False, _smooth_front, _split),
-    "closed_min": _ClosedForm("(2, 4]", True, False, _smooth_front, _split_min),
-    "hilbert_2_4": _ClosedForm("(2, 4]", True, True, _hilbert_front, _two_term),
+    "t3": _ClosedForm("[3, 3]", False, False, _one_layer),
+    "closed_2_3": _ClosedForm("(2, 3]", True, False, _one_layer),
+    "closed_3_4": _ClosedForm("[3, 4]", False, False, _one_layer),
+    "closed_min": _ClosedForm("(2, 4]", True, False, _split_min),
+    "hilbert_2_4": _ClosedForm("(2, 4]", True, True, _one_layer),
 }
 
 
@@ -255,7 +249,7 @@ def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> Boun
     D = smoothness_value(D)
     A_t = _check_nonneg(a_name, A_t)
     B = _check_nonneg("B", B)
-    log_value, constants = form.formula(form.front(t, D), t, _log(A_t), t * _log(B), **params)
+    log_value, constants = form.formula(t, D, _log(A_t), t * _log(B), **params)
     return BoundReport(
         value=_exp(log_value),
         method=name,

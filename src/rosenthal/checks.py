@@ -1,15 +1,17 @@
 """Pointwise numerical checks of the geometric and scalar inequalities the
 moment bounds rest on.
 
-All residuals are oriented so that a nonnegative value means the
-inequality holds at the sampled point.  Vector arguments may carry leading
-batch axes; the space dimension is the trailing axis.
+The spaces are l_p^dim (``LpSpace``) and the Euclidean space, which is
+l_2^dim (``HilbertSpace``).  All residuals are oriented so that a
+nonnegative value means the inequality holds at the sampled point.  Vector
+arguments may carry leading batch axes; the space dimension is the
+trailing axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,31 +49,6 @@ def _int_power(a: np.ndarray, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HilbertSpace:
-    """Euclidean R^dim; two-smooth with constant exactly 1."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValidationError(f"dimension must be an integer >= 1, got {self.dim}")
-
-    @property
-    def smoothness(self) -> float:
-        return 1.0
-
-    def norm(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.sqrt(_dot(v, v))
-
-    def norm_sq_derivative(self, x, y) -> np.ndarray:
-        """Directional derivative of ||.||^2 at x in direction y: 2 <x, y>."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 2.0 * (x * y).sum(axis=-1)
-
-
-@dataclass(frozen=True)
 class LpSpace:
     """l_p^dim for p >= 2; two-smooth with constant sqrt(p - 1)."""
 
@@ -89,14 +66,16 @@ class LpSpace:
         return math.sqrt(self.p - 1.0)
 
     def norm(self, v) -> np.ndarray:
-        a = np.abs(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
         p = float(self.p)
         if not p.is_integer():
-            return np.einsum("...k->...", a**p) ** (1.0 / p)
+            return np.einsum("...k->...", np.abs(v) ** p) ** (1.0 / p)
         # |v_k|^p = h_k * r_k, multiplied out and never through libm pow; the
-        # last product is taken inside the trailing-axis sum.
-        h = _int_power(a, int(p) // 2)
-        total = _dot(h, h if p % 2 == 0 else h * a)
+        # last product is taken inside the trailing-axis sum.  For even p,
+        # h = v^(p/2) gives h * h = |v|^p without the absolute value, so
+        # p = 2 is the Euclidean sqrt(<v, v>).
+        h = _int_power(v, int(p) // 2)
+        total = _dot(h, h if p % 2 == 0 else h * np.abs(v))
         if p == 2.0:
             return np.sqrt(total)
         if p == 3.0:
@@ -114,6 +93,14 @@ class LpSpace:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = 2.0 * nx ** (2.0 - self.p) * inner
         return np.where(nx > 0.0, out, 0.0)
+
+
+@dataclass(frozen=True)
+class HilbertSpace(LpSpace):
+    """Euclidean R^dim, which is l_2^dim: two-smooth with constant exactly 1,
+    and ``norm_sq_derivative`` is 2 <x, y>."""
+
+    p: float = field(default=2.0, init=False, repr=False)
 
 
 def check_norm_power_increment(space, x, y, t: float, schedule: PQSchedule | None = None):

@@ -8,6 +8,7 @@ threads without synchronization.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -173,7 +174,7 @@ class MomentProfile:
         *,
         exact: bool = False,
     ) -> None:
-        if int(n) != n or n < 0:
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 0):
             raise ValidationError(f"n must be a nonnegative integer, got {n}")
         t = float(t)
         if not (math.isfinite(t) and t >= 0.0):
@@ -310,7 +311,7 @@ class MomentProfile:
     @classmethod
     def from_dict(cls, data: Mapping, *, exact: bool = False) -> "MomentProfile":
         moments = {float(k): v for k, v in data["moments"].items()}
-        return cls(int(data["n"]), float(data["t"]), moments, exact=exact)
+        return cls(data["n"], float(data["t"]), moments, exact=exact)
 
     def __repr__(self) -> str:
         return f"MomentProfile(n={self.n}, t={self.t}, exponents={self.exponents})"

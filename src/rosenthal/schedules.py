@@ -119,9 +119,12 @@ class PQSchedule:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PQSchedule":
-        if data["kind"] == "beta_family":
+        kind = data["kind"]
+        if kind == "beta_family":
             return cls.beta_family(float(data["beta"]))
-        return cls.custom({float(k): v for k, v in data["table"].items()})
+        if kind == "custom":
+            return cls.custom({float(k): v for k, v in data["table"].items()})
+        return cls(kind=kind)  # names the unknown kind
 
 
 def pq_eval(schedule: PQSchedule, s: float) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import corollary_bound, theorem_bound
-from .core import BoundReport, DomainError, MomentProfile, required_exponents
+from .core import BoundReport, DomainError, MomentProfile, ValidationError, required_exponents
 from .models import MartingaleModel, SimulationResult, simulate
 from .schedules import PQSchedule, default_schedule
 
@@ -72,6 +72,12 @@ class VerificationReport:
         }
 
 
+def _check_exponent(t: float) -> None:
+    """Reject t < 2 before any simulation is spent on it."""
+    if t < 2.0:
+        raise DomainError(f"verification needs t >= 2, got t={t}")
+
+
 def empirical_profile(
     model: MartingaleModel, t: float, increment_norms: np.ndarray
 ) -> MomentProfile:
@@ -88,11 +94,13 @@ def check_from_simulation(
     t: float,
     schedule: PQSchedule | None = None,
     *,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> VerificationReport:
-    """Bound check against an existing simulation (shared across exponents)."""
-    if t < 2.0:
-        raise DomainError(f"verification needs t >= 2, got t={t}")
+    """Bound check against an existing simulation (shared across exponents);
+    ``seed``, where given, must be the simulation's, which the report records."""
+    _check_exponent(t)
+    if seed is not None and seed != sim._seed:
+        raise ValidationError(f"seed {seed} is not the simulation's seed {sim._seed}")
     schedule = schedule or default_schedule()
     replications = int(sim.final_norms.shape[0])
 
@@ -128,7 +136,7 @@ def check_from_simulation(
         slack=(bound.value / estimate) if estimate > 0.0 else None,
         passed=passed,
         replications=replications,
-        seed=int(seed),
+        seed=int(sim._seed),
         profile="exact" if exact else "estimated",
         z=(estimate - bound.value) / std_error if std_error > 0.0 else None,
     )
@@ -144,7 +152,6 @@ def estimate_and_check(
     threads: int | None = None,
 ) -> VerificationReport:
     """Simulate a model and check the bounds at exponent t >= 2."""
-    if t < 2.0:
-        raise DomainError(f"verification needs t >= 2, got t={t}")
+    _check_exponent(t)
     sim = simulate(model, seed, replications, threads=threads)
-    return check_from_simulation(model, sim, t, schedule, seed=seed)
+    return check_from_simulation(model, sim, t, schedule)

@@ -472,12 +472,15 @@ def ref_best(prof, env, D, pin94=None):
     candidates = [theorem_bound(prof, env, D), corollary_bound(prof, env, D)]
     if t > 3.0:
         candidates.append(_best_beta_corollary(t, D, A_t, B))
+    # The public closed forms, which test_public_forms_match_reference checks
+    # against the float ref_closed_* formulas: a float reference can land an
+    # ulp off an exact tie that best_bound breaks by BOUND_METHODS order.
     if 2.0 < t <= 3.0:
-        candidates.append(ref_closed_2_3(t, D, A_t, B))
+        candidates.append(closed_form_2_3(t, D, A_t, B))
     if 2.0 < t <= 4.0:
-        candidates.append(ref_closed_min(t, D, A_t, B))
+        candidates.append(closed_form_min(t, D, A_t, B))
         if D == 1.0:
-            candidates.append(ref_hilbert_2_4(t, A_t, B))
+            candidates.append(hilbert_2_4(t, A_t, B))
     if pin94 is not None:
         candidates.append(pin94_bound(t, D, A_t, B, pin94))
     return min(candidates, key=lambda r: (r.value, REF_PRIORITY[r.method]))
@@ -554,6 +557,34 @@ class TestClosedFormTable:
             for pin94 in (None, Pin94Config(), Pin94Config(K=0.05)):
                 got = best_bound(prof, env, D, pin94=pin94).to_dict()
                 assert reports_agree(got, ref_best(prof, env, D, pin94).to_dict())
+
+    def test_one_layer_forms_are_the_corollary(self):
+        # Where the aggregation has one layer (2 < t < 4), t3, closed_2_3,
+        # closed_3_4 and hilbert_2_4 are the corollary at the beta-family
+        # schedule of their split point, bit for bit.
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            t = float(rng.choice([3.0, rng.uniform(2.0001, 3.0), rng.uniform(3.0, 3.9999)]))
+            D = float(rng.choice([1.0, rng.uniform(1.0, 10.0)]))
+            alpha = float(rng.uniform(0.01, 0.99))
+            prof, env = make_valid_case(rng, t=t, max_n=4)
+            A_t, B = prof.total(t), env.total()
+            pairs = []
+            for lambdas in (None, "optimize"):
+                def coro(beta):
+                    return corollary_bound(prof, env, D, PQSchedule.beta_family(beta), lambdas)
+                if t <= 3.0:
+                    pairs += [(closed_form_2_3(t, D, A_t, B), coro(b)) for b in (0.5, alpha)]
+                if t == 3.0:
+                    pairs.append((t3_bound(D, A_t, B), coro(0.5)))
+                if t >= 3.0:
+                    pairs.append((closed_form_3_4(t, D, A_t, B, alpha), coro(alpha)))
+                if D == 1.0:
+                    pairs.append((hilbert_2_4(t, A_t, B), coro(0.5)))
+            for form, want in pairs:
+                for key in ("C_A", "C_B"):
+                    assert form.constants[key] == want.constants[key], (t, D, form.method)
+                assert form.value == want.value, (t, D, form.method)
 
     def test_cli_offers_five_methods(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")

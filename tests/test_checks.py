@@ -126,12 +126,35 @@ class TestSpaceNorms:
         assert LpSpace(p, 1).norm([-2.5]) == pytest.approx(2.5, rel=4e-16)
 
     def test_lp_two_is_the_hilbert_norm(self):
+        # HilbertSpace and l_2 give the Euclidean norm and derivative
+        # expressions bit for bit, batch axes and a zero row included.
         rng = np.random.default_rng(32)
         for dim in (1, 3, 8):
             v = rng.standard_normal((200, 6, dim))
-            lp = LpSpace(2.0, dim).norm(v)
-            hilbert = HilbertSpace(dim).norm(v)
-            assert np.all(np.abs(lp - hilbert) <= 1e-15 * hilbert)
+            w = rng.standard_normal((200, 6, dim))
+            v[0, 0] = 0.0
+            for space in (HilbertSpace(dim), LpSpace(2.0, dim)):
+                want = np.sqrt(np.einsum("...k,...k->...", v, v))
+                assert space.norm(v).tobytes() == want.tobytes()
+                want = 2 * (v * w).sum(-1)
+                assert space.norm_sq_derivative(v, w).tobytes() == want.tobytes()
+                assert space.norm_sq_derivative(v, w)[0, 0] == 0.0
+
+    def test_hilbert_space_is_lp_two(self):
+        space = HilbertSpace(3)
+        assert isinstance(space, LpSpace)
+        assert (space.p, space.dim, space.smoothness) == (2.0, 3, 1.0)
+        assert repr(space) == "HilbertSpace(dim=3)"
+        with pytest.raises(ValidationError, match="dimension must be an integer >= 1, got 0"):
+            HilbertSpace(0)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    def test_even_p_norm_needs_no_absolute_value(self, p):
+        rng = np.random.default_rng(33)
+        v = rng.standard_normal((50, 4, 5)) * 10 ** rng.uniform(-3, 3, (50, 4, 1))
+        v[0, 0] = 0.0
+        space = LpSpace(p, 5)
+        assert space.norm(v).tobytes() == space.norm(np.abs(v)).tobytes()
 
 
 class TestRiemannSum:

@@ -137,9 +137,42 @@ class TestBoundCommand:
                 dict(SHARP_CASE, schedule={"kind": "beta_family", "beta": None}),
                 "schedule.beta must be a number",
             ),
+            (dict(SHARP_CASE, schedule={"kind": "custom"}), "schedule.table is missing"),
+            (
+                dict(SHARP_CASE, schedule={"kind": "custom", "table": {"abc": [1, 1]}}),
+                "schedule.table keys must be numbers, got 'abc'",
+            ),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"],
+                                              moments={"x": [1.0], "2": [1.0]})),
+                "profile.moments keys must be numbers, got 'x'",
+            ),
+            (dict(SHARP_CASE, schedule={"beta": 0.5}), "schedule.kind is missing"),
+            (dict(SHARP_CASE, schedule={"kind": "foo"}), "unknown schedule kind 'foo'"),
+            (dict(SHARP_CASE, schedule={"kind": "beta_family"}), "schedule.beta is missing"),
+            (
+                dict(SHARP_CASE, profile={"t": 3.0, "moments": {"3": [1.0], "2": [1.0]}}),
+                "profile.n is missing",
+            ),
+            (
+                dict(SHARP_CASE, profile={"n": 1, "moments": {"3": [1.0], "2": [1.0]}}),
+                "profile.t is missing",
+            ),
+            (dict(SHARP_CASE, profile={"n": 1, "t": 3.0}), "profile.moments is missing"),
+            ({"envelope": SHARP_CASE["envelope"]}, "profile is missing"),
+            ({"profile": SHARP_CASE["profile"]}, "envelope is missing"),
+            (dict(SHARP_CASE, envelope={}), "envelope.b is missing"),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], n=2.7,
+                                              moments={"3": [1.0, 1.0], "2": [1.0, 1.0]})),
+                "n must be a nonnegative integer, got 2.7",
+            ),
         ],
         ids=["list", "null profile", "null envelope", "null schedule", "null D",
-             "list moments", "null n", "null beta"],
+             "list moments", "null n", "null beta", "custom without table",
+             "table key", "moments key", "schedule without kind", "unknown kind",
+             "beta_family without beta", "no n", "no t", "no moments", "no profile",
+             "no envelope", "no b", "fractional n"],
     )
     @pytest.mark.parametrize("method", ["best", "theorem", "corollary", "closed", "pin94"])
     def test_malformed_case_file(self, tmp_path, capsys, case, named, method):
@@ -292,6 +325,18 @@ class TestVerifyCommand:
         lines = norms.read_text().strip().splitlines()
         assert lines[0] == "replication,final_norm"
         assert len(lines) == 65
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["report", "dump-norms"])
+    def test_small_t_rejected_before_simulating(self, tmp_path, capsys, monkeypatch, dump):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated for a rejected t")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        args = ["verify", "--t", "1.5"]
+        if dump:
+            args += ["--dump-norms", str(tmp_path / "norms.csv")]
+        code, out, err = run_main(args, capsys)
+        assert (code, out, err) == (2, "", "error: verification needs t >= 2, got t=1.5\n")
 
     def test_two_point_model_flag(self, capsys):
         code, out, _ = run_main(

@@ -213,6 +213,13 @@ class TestExponentKeys:
         env2 = VarianceEnvelope.from_dict(json.loads(json.dumps(env.to_dict())))
         assert np.array_equal(env2.b, env.b)
 
+    @pytest.mark.parametrize("n", [2.7, math.nan, math.inf])
+    def test_from_dict_rejects_non_integer_n(self, n):
+        # n is not truncated to 2: the constructor's integer check names it.
+        data = {"n": n, "t": 3.0, "moments": {"3": [1.0, 1.0], "2": [1.0, 1.0]}}
+        with pytest.raises(ValidationError, match=f"^n must be a nonnegative integer, got {n}$"):
+            MomentProfile.from_dict(data)
+
 
 class TestLogConvexity:
     def test_exact_moments_are_log_convex(self):

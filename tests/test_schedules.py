@@ -104,6 +104,11 @@ class TestCustomSchedule:
         with pytest.raises(ValidationError, match=named):
             PQSchedule.from_dict({"kind": "custom", "table": {"3": entry}})
 
+    def test_from_dict_names_an_unknown_kind(self):
+        # Only "custom" reads a table; any other kind is unknown.
+        with pytest.raises(ValidationError, match="^unknown schedule kind 'foo'$"):
+            PQSchedule.from_dict({"kind": "foo", "table": {"3": [1, 1]}})
+
 
 def test_json_round_trip():
     for sched in (

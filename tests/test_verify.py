@@ -13,6 +13,7 @@ from rosenthal import (
     RademacherModel,
     TwoPointModel,
     UniformModel,
+    ValidationError,
     VarianceEnvelope,
     corollary_bound,
     estimate_and_check,
@@ -159,6 +160,14 @@ class TestReports:
         a = check_from_simulation(model, sim, 3.0, seed=4)
         b = estimate_and_check(model, 3.0, seed=4, replications=5000)
         assert a.to_dict() == b.to_dict()
+
+    def test_report_records_the_simulation_seed(self):
+        model = RademacherModel(3, 1.0)
+        sim = simulate(model, seed=9, replications=500)
+        assert check_from_simulation(model, sim, 3.0).seed == 9
+        assert check_from_simulation(model, sim, 3.0, seed=9).seed == 9
+        with pytest.raises(ValidationError, match="seed 0 is not the simulation's seed 9"):
+            check_from_simulation(model, sim, 3.0, seed=0)
 
     def test_deterministic_across_threads(self):
         model = LpModel(5, 1.0, p=3.0, dim=2)
