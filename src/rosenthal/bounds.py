@@ -28,11 +28,14 @@ import numpy as np
 
 from .constants import (
     _aggregate,
+    _balance,
     _check_t,
+    _layer_logs,
     _log_balanced_beta_terms,
     _log_coefficients,
     _log_layers,
     _log_smooth,
+    _logs_at,
 )
 from .core import (
     BOUND_METHODS,
@@ -127,8 +130,15 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -
     float range the unit is max b_i instead, and the weights sum to at
     most n."""
     t = profile.t
-    m = half_layers(t)
-    log_c, log_top = _log_layers(_check_t(t), D, schedule, m)
+    log_c, log_top = _log_layers(_check_t(t), D, schedule, half_layers(t))
+    log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
+    return _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value)
+
+
+def _layered_log(profile, envelope, A_t, B: float, log_c, log_top: float) -> float:
+    """The log of the layered bound from its layer logs (one kernel pass)."""
+    t = profile.t
+    m = len(log_c)
     unit = B or 1.0  # B_n = 0 only without steps
     if unit == math.inf:
         unit = float(envelope.b.max())
@@ -140,13 +150,15 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -
         unit,
         t / 2.0 - m,
     )
-    logs = [
+    return _log_sum([
         log_cj + _log(layer) + 2 * j * math.log(unit)
         for j, (log_cj, layer) in enumerate(zip(log_c + [log_top], layers))
-    ]
+    ])
 
+
+def _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value) -> BoundReport:
     return BoundReport(
-        value=_exp(_log_sum(logs)),
+        value=_exp(log_value),
         method="theorem",
         constants={"c": [_exp(x) for x in log_c], "c_tilde": _exp(log_top)},
         parameters={"schedule": schedule.to_dict()},
@@ -186,8 +198,14 @@ def _aggregated(
     ``envelope`` of B_n, where given, gives the ratio where B_n is beyond
     the float range."""
     log_A, log_Bt = _log(A_t), t * _log(B)
-    log_c, log_top, lam, log_ca, log_cb = _aggregate(t, D, schedule, log_A, log_Bt, lambdas)
-    log_value, constants = _two_coefficients(log_ca, log_cb, log_A, log_Bt)
+    log_c, log_top, *coefficients = _aggregate(t, D, schedule, log_A, log_Bt, lambdas)
+    return _aggregated_report(t, schedule, A_t, B, envelope, log_c, log_top, *coefficients)
+
+
+def _aggregated_report(
+    t, schedule, A_t, B, envelope, log_c, log_top, lam, log_ca, log_cb
+) -> BoundReport:
+    log_value, constants = _two_coefficients(log_ca, log_cb, _log(A_t), t * _log(B))
     return BoundReport(
         value=_exp(log_value),
         method="corollary",
@@ -358,9 +376,15 @@ def _best_beta_corollary(
     winning beta; the grid scan of ``grid_then_golden_minimize`` over
     ``BETA_GRID`` stays as the reference the tests and benchmark check it
     against."""
-    terms = _log_balanced_beta_terms(t, D, _log(A_t), t * _log(B))
-    beta = _minimize_log_sum_exp_beta(terms, BETA_GRID[0], BETA_GRID[-1])
+    beta = _tuned_beta(t, D, _log(A_t), t * _log(B))
     return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B, envelope=envelope)
+
+
+def _tuned_beta(t: float, D: float, log_A: float, log_Bt: float, layers=None) -> float:
+    """The beta on [0.02, 0.98] that minimizes the balanced aggregated
+    value; ``layers`` as for :func:`_log_balanced_beta_terms`."""
+    terms = _log_balanced_beta_terms(t, D, log_A, log_Bt, layers)
+    return _minimize_log_sum_exp_beta(terms, BETA_GRID[0], BETA_GRID[-1])
 
 
 def best_bound(
@@ -380,11 +404,13 @@ def best_bound(
     of ``_CLOSED_FORMS`` whose interval holds t.  Exact value ties go to the
     method listed first in ``BOUND_METHODS``: the layered bound, then closed
     forms, then the aggregation.  A_n(t) and B_n are summed once for every
-    candidate.  The schedule scan minimizes the convex log of the balanced
-    value over beta in [0.02, 0.98] by safeguarded Newton, in about 8
-    O(m) steps, and builds one report, at the winning beta; the grid of
-    ``BETA_GRID`` with golden-section refinement is the reference the
-    tests and the benchmark check it against.
+    candidate, and a beta-family schedule's layer logs are formed once:
+    they do not depend on beta.  The schedule scan minimizes the convex log
+    of the balanced value over beta in [0.02, 0.98] by safeguarded Newton,
+    in about 8 O(m) steps; the grid of ``BETA_GRID`` with golden-section
+    refinement is the reference the tests and the benchmark check it
+    against.  Every candidate's value is computed first, and only the
+    winner's report is built.
     """
     t = profile.t
     if t <= 2.0:
@@ -395,20 +421,47 @@ def best_bound(
     A_t = profile.total(t)
     B = envelope.total()
 
-    candidates = [
-        _layered(profile, envelope, D, schedule, A_t, B),
-        _aggregated(t, D, schedule, A_t, B, envelope=envelope),
-    ]
+    m = half_layers(t)
+    layers = _layer_logs(_check_t(t), D, schedule, m)
+    log_A, log_Bt = _log(A_t), t * _log(B)
+    candidates = []  # (value, method, report builder)
+
+    def aggregated(sched, log_c, log_top):
+        lam, log_ca, log_cb = _balance(t, log_c, log_top, log_A, log_Bt, "optimize")
+        candidates.append((
+            _exp(_log_sum([log_ca + log_A, log_cb + log_Bt])),
+            "corollary",
+            lambda: _aggregated_report(
+                t, sched, A_t, B, envelope, log_c, log_top, lam, log_ca, log_cb
+            ),
+        ))
+
+    log_c, log_top = _logs_at(layers, schedule.beta)
+    log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
+    candidates.append((
+        _exp(log_value),
+        "theorem",
+        lambda: _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value),
+    ))
+    aggregated(schedule, log_c, log_top)
     if t > 3.0:
-        candidates.append(_best_beta_corollary(t, D, A_t, B, envelope))
+        # A beta-family schedule's layer logs do not depend on its beta.
+        if schedule.kind != "beta_family":
+            layers = _layer_logs(t, D, default_schedule(), m)
+        beta = _tuned_beta(t, D, log_A, log_Bt, layers)
+        aggregated(PQSchedule.beta_family(beta), *_logs_at(layers, beta))
     # The closed forms and pin94 take finite totals; where A_n(t) or B_n is
     # beyond the float range, the two bounds above are already +inf.
     finite = math.isfinite(A_t) and math.isfinite(B)
-    candidates += [
-        _closed_form(name, t, D, A_t, B)
-        for name, form in _CLOSED_FORMS.items()
-        if finite and form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert)
-    ]
+    for name, form in _CLOSED_FORMS.items():
+        if finite and form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert):
+            candidates.append((
+                _exp(form.formula(t, D, log_A, log_Bt)[0]),
+                name,
+                lambda name=name: _closed_form(name, t, D, A_t, B),
+            ))
     if pin94 is not None and finite:
-        candidates.append(pin94_bound(t, D, A_t, B, pin94))
-    return min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))
+        pin = pin94_bound(t, D, A_t, B, pin94)
+        candidates.append((pin.value, "pin94", lambda: pin))
+    _, _, build = min(candidates, key=lambda c: (c[0], BOUND_METHODS.index(c[1])))
+    return build()

@@ -44,11 +44,15 @@ def recentering_ratio(t: float, b) -> float:
     barr = np.asarray(b, dtype=float)
     if np.any((barr < 0.0) | (barr > 1.0)):
         raise DomainError("b must lie in [0, 1]")
-    # A scalar b is evaluated in float arithmetic: find_bt calls this about
-    # 50 times, and numpy's per-operation cost on 0-d arrays dominates there.
-    x = float(barr) if barr.ndim == 0 else barr
-    return (x ** (t - 1) + (1 - x) ** (t - 1)) * (
-        x ** (1 / (t - 1)) + (1 - x) ** (1 / (t - 1))
+    return _ratio(t, float(barr) if barr.ndim == 0 else barr)
+
+
+def _ratio(t: float, b):
+    """R(t, b) unchecked, in float arithmetic for a float b: the golden
+    search of :func:`find_bt` evaluates it about 50 times, where numpy's
+    per-operation cost on 0-d arrays would dominate."""
+    return (b ** (t - 1) + (1 - b) ** (t - 1)) * (
+        b ** (1 / (t - 1)) + (1 - b) ** (1 / (t - 1))
     ) ** (t - 1)
 
 
@@ -61,7 +65,7 @@ def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
     """
     if not t > 2.0:
         raise DomainError(f"the re-centering constant needs t > 2, got t={t}")
-    b_opt, neg = golden_section_minimize(lambda x: -recentering_ratio(t, x), 0.0, 0.5, tol=tol)
+    b_opt, neg = golden_section_minimize(lambda x: -_ratio(t, x), 0.0, 0.5, tol=tol)
     return float(b_opt), float(-neg)
 
 

@@ -111,8 +111,13 @@ def _log_layers(t: float, D: float, schedule, m: int) -> tuple[list[float], floa
     """(log c_0, ..., log c_{m-1}) and the log of the product of the first m
     layer factors (log c~_m when m = floor(t/2)): :func:`_layer_logs` at the
     schedule's beta.  Inputs are not checked."""
-    log_1mb, log_b = math.log1p(-schedule.beta), math.log(schedule.beta)
-    logs = [k + a * log_1mb + g * log_b for k, a, g in _layer_logs(t, D, schedule, m)]
+    return _logs_at(_layer_logs(t, D, schedule, m), schedule.beta)
+
+
+def _logs_at(layers, beta: float) -> tuple[list[float], float]:
+    """The layer logs and the top log of :func:`_layer_logs` output at beta."""
+    log_1mb, log_b = math.log1p(-beta), math.log(beta)
+    logs = [k + a * log_1mb + g * log_b for k, a, g in layers]
     return logs[:-1], logs[-1]
 
 
@@ -158,7 +163,7 @@ def _log_coefficients(t: float, log_c, log_top: float, log_lam) -> tuple[float, 
     return _log_sum([x for x, _ in log_a]), _log_sum([x for x, _ in log_b])
 
 
-def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float):
+def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float, layers=None):
     """(K, alpha, gamma) of the terms of log(C_A A_t + C_B B^t) at the
     lambdas of :func:`optimize_lambdas` and ``PQSchedule.beta_family(beta)``:
     the value is the log-sum-exp of K + alpha log(1-beta) + gamma log beta.
@@ -166,9 +171,12 @@ def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float):
     B^t c_j r^{(t-2-2j)/(t-2)} / j! = c_j A_t^x (B^t)^{1-x} / j!,
     x = (t-2-2j)/(t-2); otherwise every lambda_j = 1 and they are the terms
     of C_A A_t and of C_B B^t.  Each term keeps its layer's alpha, gamma <= 0
-    from :func:`_layer_logs`, so the value is convex in the logit of beta."""
+    from :func:`_layer_logs`, so the value is convex in the logit of beta.
+    ``layers``, where given, is :func:`_layer_logs` of any beta-family
+    schedule at (t, D), which does not depend on its beta."""
     m = half_layers(t)
-    layers = _layer_logs(t, D, default_schedule(), m)
+    if layers is None:
+        layers = _layer_logs(t, D, default_schedule(), m)
     log_c, log_top = [k for k, _, _ in layers[:-1]], layers[-1][0]
     if math.isfinite(log_A) and math.isfinite(log_Bt):
         terms = [(log_top - _log_top_norm(t, m) + log_Bt, m)]
@@ -214,8 +222,16 @@ def _aggregate(
     t = _check_t(t)
     if t <= 2.0:
         raise DomainError(f"the aggregated constants need t > 2, got t={t}")
-    m = half_layers(t)
-    log_c, log_top = _log_layers(t, D, schedule, m)
+    log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
+    return log_c, log_top, *_balance(t, log_c, log_top, log_A, log_Bt, lambdas)
+
+
+def _balance(
+    t: float, log_c, log_top: float, log_A: float, log_Bt: float, lambdas
+) -> tuple[list[float], float, float]:
+    """(lambdas, log C_A, log C_B) of :func:`_aggregate` from the layer
+    logs; inputs but an explicit ``lambdas`` are not checked."""
+    m = len(log_c)
     if isinstance(lambdas, str):
         # lambda_j = r^{1/(t-2)}, or 1 where A_t or B^t is 0 or +inf.
         balanced = math.isfinite(log_A) and math.isfinite(log_Bt)
@@ -229,7 +245,7 @@ def _aggregate(
         if any(not math.isfinite(x) or x <= 0.0 for x in lam):
             raise ValidationError("balancing parameters must be finite and > 0")
         log_lam = [math.log(x) for x in lam]
-    return log_c, log_top, lam, *_log_coefficients(t, log_c, log_top, log_lam)
+    return lam, *_log_coefficients(t, log_c, log_top, log_lam)
 
 
 def C_A(t: float, D, schedule: PQSchedule | None, lambdas: Sequence[float]) -> float:

@@ -14,7 +14,9 @@ of ||X_i|| is drawn on first access to
 Each Philox block is simulated in row tiles of about ``_TILE_ELEMS``
 floats, so the working memory of a simulation is O(tile) on top of its
 outputs.  A tile continues the block's generator where the previous tile
-stopped, so no output bit depends on the tile size.
+stopped, so no output bit depends on the tile size.  The moment estimate
+of :func:`rosenthal.verify.empirical_profile` reduces the stored moment
+stream in row tiles of the same size, so it too is O(tile) on top of it.
 
 The sphere models (``hilbert``, ``lp``) form the step sum
 S = sum_i b_i G_i / ||G_i|| as one ``einsum`` of the drawn tile against the

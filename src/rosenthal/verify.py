@@ -5,7 +5,19 @@ The bound is evaluated on the model's exact per-step moments a_i(s) where
 it has a closed form (every built-in model but ``dependent``).  Otherwise
 they are estimated on the moment stream, which is independent of the norm
 stream that estimates E||S_n||^t, so the two sides of the inequality never
-share randomness.  The check passes when
+share randomness.
+
+An estimated a_i(s) is the column mean of x**s over the (R, n) moment
+stream x, reduced in row tiles of about ``models._TILE_ELEMS`` floats: one
+buffer holds a carry row of running column sums above the tile raised to
+s, and one axis-0 sum folds the tile in.  numpy sums a C-ordered (R, n >= 2)
+array over axis 0 row by row, so the means equal ``(x ** s).mean(axis=0)``
+bit for bit while the scratch is about one tile, not R * n floats.  One
+column (n = 1) is summed pairwise, so there the column is one tile of R
+floats, the size of the stream.  An input that is not C-ordered is copied
+to C order first, so the estimate does not depend on memory layout.
+
+The check passes when
 
     estimate - 3 * standard_error <= layered bound
 
@@ -21,8 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import corollary_bound, theorem_bound
-from .core import BoundReport, DomainError, MomentProfile, ValidationError, required_exponents
-from .models import MartingaleModel, SimulationResult, simulate
+from .core import (
+    BoundReport,
+    DomainError,
+    MomentProfile,
+    ValidationError,
+    _entries_ok,
+    required_exponents,
+)
+from .models import _TILE_ELEMS, MartingaleModel, SimulationResult, simulate
 from .schedules import PQSchedule, default_schedule
 
 __all__ = [
@@ -81,11 +100,47 @@ def _check_exponent(t: float) -> None:
 def empirical_profile(
     model: MartingaleModel, t: float, increment_norms: np.ndarray
 ) -> MomentProfile:
-    """Moment profile estimated from sampled per-step increment norms."""
-    moments = {
-        s: (increment_norms**s).mean(axis=0) for s in required_exponents(t)
-    }
-    return MomentProfile(model.n, t, moments)
+    """Moment profile estimated from sampled per-step increment norms, a
+    (replications, n) array-like of finite entries >= 0."""
+    try:
+        x = np.ascontiguousarray(increment_norms, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("increment_norms must be an array of numbers") from None
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.n:
+        raise ValidationError(
+            f"increment_norms must be a (replications, {model.n}) array with "
+            f"replications >= 1, got shape {x.shape}"
+        )
+    return MomentProfile(model.n, t, _stream_means(x, required_exponents(t)))
+
+
+def _stream_means(x: np.ndarray, exponents) -> dict[float, np.ndarray]:
+    """``(x ** s).mean(axis=0)`` for each s, bit for bit, in one sweep over
+    row tiles of the C-ordered (R, n) array x (see the module docstring):
+    row 0 of the buffer carries an exponent's column sums into the next
+    tile, and the first tile has no carry.  Each tile's entries are checked
+    once, while it is in cache."""
+    R, n = x.shape
+    rows = R if n == 1 else min(R, max(1, _TILE_ELEMS // n))
+    buf = np.empty((rows + 1, n))
+    sums = {}
+    for a in range(0, R, rows):
+        tile = x[a:a + rows]
+        if not _entries_ok(tile):
+            raise ValidationError("increment_norms must be finite and >= 0")
+        carry = 1 if a else 0
+        k = carry + tile.shape[0]
+        part = buf[carry:k]
+        for s in exponents:
+            if carry:
+                buf[0] = sums[s]
+            # The ufunc of the operator: numpy computes ``x ** 2.0`` as np.square.
+            if s == 2.0:
+                np.square(tile, out=part)
+            else:
+                np.power(tile, s, out=part)
+            sums[s] = np.add.reduce(buf[:k], axis=0)
+    return {s: total / R for s, total in sums.items()}
 
 
 def check_from_simulation(

@@ -10,6 +10,7 @@ from rosenthal import (
     separately_lipschitz_bound,
     sum_norm_bound,
 )
+from rosenthal.optimize import golden_section_minimize
 
 
 class TestRecenteringRatio:
@@ -42,6 +43,13 @@ class TestRecenteringRatio:
 
 
 class TestFindBt:
+    @pytest.mark.parametrize("t", [2.05, 3.0, 4.5, 11.0, 60.0])
+    def test_equals_search_over_public_ratio(self, t):
+        b_opt, neg = golden_section_minimize(
+            lambda x: -recentering_ratio(t, x), 0.0, 0.5, tol=1e-10
+        )
+        assert find_bt(t) == (b_opt, -neg)
+
     def test_third_moment_constant_brackets(self):
         b_opt, c3 = find_bt(3.0)
         assert 1.31 < c3 < 1.316

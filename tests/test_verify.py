@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from rosenthal import (
     estimate_and_check,
     simulate,
 )
+from rosenthal import verify
 from rosenthal.core import required_exponents
-from rosenthal.verify import check_from_simulation, empirical_profile
+from rosenthal.models import _TILE_ELEMS
+from rosenthal.verify import _stream_means, check_from_simulation, empirical_profile
 
 
 class TestSharpCase:
@@ -104,6 +107,100 @@ class TestEmpiricalProfile:
         prof = empirical_profile(model, 4.7, sim.increment_norms)
         for s in (4.7, 2.7, 2.0):
             assert prof.has_exponent(s)
+
+
+def _reference_profile(model, t, increment_norms):
+    """The moment estimate as one (reps x n) power and mean per exponent."""
+    x = np.ascontiguousarray(increment_norms, dtype=float)
+    return MomentProfile(model.n, t, {s: (x**s).mean(axis=0) for s in required_exponents(t)})
+
+
+class TestTiledMoments:
+    EXPONENTS = (2.0, 2.5, 3.0, 4.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    @pytest.mark.parametrize("reps", ["1", "rows-1", "rows", "rows+1", "3rows+7"])
+    def test_bits_equal_whole_array_mean(self, n, reps):
+        # rows is the tile height at n >= 2; at n = 1 the column is one
+        # tile, so reps > rows there too.
+        rows = _TILE_ELEMS // n
+        R = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "3rows+7": 3 * rows + 7}[reps]
+        rng = np.random.default_rng(n * 7 + R)
+        x = rng.uniform(0.0, 3.0, (R, n))
+        x[rng.random((R, n)) < 0.1] = 0.0
+        got = _stream_means(x, self.EXPONENTS)
+        for s in self.EXPONENTS:
+            want = (x**s).mean(axis=0)
+            assert np.array_equal(got[s], want), (n, R, s)
+            assert got[s].tobytes() == want.tobytes()
+
+    def test_profile_bits(self):
+        model = DependentModel(50, 1.0)
+        x = np.random.default_rng(1).uniform(0.0, 2.0, (3 * 1310 + 7, 50))
+        got = empirical_profile(model, 4.5, x)
+        want = _reference_profile(model, 4.5, x)
+        for s in required_exponents(4.5):
+            assert got.moment_array(s).tobytes() == want.moment_array(s).tobytes()
+
+    def test_fortran_order_gives_c_order_bits(self):
+        model = DependentModel(7, 1.0)
+        x = np.random.default_rng(2).uniform(0.0, 2.0, (20_000, 7))
+        c_order = empirical_profile(model, 3.5, x)
+        f_order = empirical_profile(model, 3.5, np.asfortranarray(x))
+        for s in required_exponents(3.5):
+            assert f_order.moment_array(s).tobytes() == c_order.moment_array(s).tobytes()
+
+    def test_scratch_is_about_one_tile(self):
+        # The whole-array power was a 12.5 MB temporary at this shape.
+        model = DependentModel(50, 1.0)
+        x = np.random.default_rng(3).uniform(0.0, 2.0, (32_768, 50))
+        tracemalloc.start()
+        try:
+            empirical_profile(model, 4.0, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("t", [2.5, 4.0])
+    def test_dependent_report_matches_whole_array_estimate(self, monkeypatch, t):
+        model = DependentModel(50, np.linspace(0.5, 2.0, 50))
+        sims = [simulate(model, seed=11, replications=5000, threads=k) for k in (1, 2)]
+        reports = [check_from_simulation(model, sim, t).to_dict() for sim in sims]
+        assert reports[0] == reports[1]
+        assert reports[0]["profile"] == "estimated"
+        monkeypatch.setattr(verify, "empirical_profile", _reference_profile)
+        assert check_from_simulation(model, sims[0], t).to_dict() == reports[0]
+
+
+class TestEmpiricalProfileInput:
+    def test_accepts_nested_lists(self):
+        model = DependentModel(3, 1.0)
+        x = np.random.default_rng(4).uniform(0.0, 1.0, (50, 3))
+        got = empirical_profile(model, 3.0, x.tolist())
+        want = empirical_profile(model, 3.0, x)
+        for s in required_exponents(3.0):
+            assert got.moment_array(s).tobytes() == want.moment_array(s).tobytes()
+
+    @pytest.mark.parametrize(
+        "norms",
+        [np.ones(3), np.ones((2, 3, 1)), np.empty((0, 3)), np.ones((5, 4)), [[1.0, 2.0], [1.0]],
+         [["a", "b", "c"]]],
+        ids=["1d", "3d", "no-rows", "wrong-width", "ragged", "strings"],
+    )
+    def test_bad_shape_names_the_input(self, norms):
+        with pytest.raises(ValidationError, match="increment_norms"):
+            empirical_profile(DependentModel(3, 1.0), 3.0, norms)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -0.5])
+    @pytest.mark.parametrize("t", [3.0, 4.0])
+    def test_bad_entry_names_the_input(self, bad, t):
+        # The bad entry sits in the last tile; t = 4 has only even exponents.
+        x = np.ones((3 * (_TILE_ELEMS // 3) + 7, 3))
+        x[-1, 1] = bad
+        with pytest.raises(ValidationError, match="increment_norms must be finite and >= 0"):
+            empirical_profile(DependentModel(3, 1.0), t, x)
 
 
 SCALE = [0.5, 1.0, 1.5, 2.0]
