@@ -29,7 +29,6 @@ import numpy as np
 from .constants import (
     _aggregate,
     _balance,
-    _check_t,
     _layer_logs,
     _log_balanced_beta_terms,
     _log_coefficients,
@@ -44,6 +43,7 @@ from .core import (
     MomentProfile,
     ValidationError,
     VarianceEnvelope,
+    _check_t,
     _exp,
     _log,
     _log_sum,
@@ -106,11 +106,8 @@ def theorem_bound(
     """
     _check_pair(profile, envelope)
     t = profile.t
-    if t < 2.0 and not allow_small_t:
-        raise DomainError(
-            f"t={t} is below 2; pass allow_small_t=True to evaluate the "
-            "degenerate m=0 form anyway"
-        )
+    if not allow_small_t:
+        _check_t(t, "without allow_small_t=True, the layered bound needs")
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
     A_t = profile.total(t) if profile.has_exponent(t) else None
@@ -130,7 +127,7 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -
     float range the unit is max b_i instead, and the weights sum to at
     most n."""
     t = profile.t
-    log_c, log_top = _log_layers(_check_t(t), D, schedule, half_layers(t))
+    log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
     log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
     return _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value)
 
@@ -184,7 +181,7 @@ def corollary_bound(
     ``"optimize"`` (default) for the closed-form minimizers.
     """
     _check_pair(profile, envelope)
-    t = profile.t
+    t = _check_t(profile.t, "the aggregated bound needs", strict=True)
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
     return _aggregated(t, D, schedule, profile.total(t), envelope.total(), lambdas, envelope)
@@ -340,8 +337,7 @@ def pin94_bound(
     Unlike the layered bounds it does not require the conditional-variance
     envelope assumption, but its constants are far larger.
     """
-    if t < 2.0:
-        raise DomainError(f"the comparison bound needs t >= 2, got t={t}")
+    _check_t(t, "the comparison bound needs")
     config = config or Pin94Config()
     D = smoothness_value(D)
     A_t = _check_nonneg("A_t", A_t)
@@ -412,9 +408,7 @@ def best_bound(
     against.  Every candidate's value is computed first, and only the
     winner's report is built.
     """
-    t = profile.t
-    if t <= 2.0:
-        raise DomainError(f"best_bound needs t > 2, got t={t}")
+    t = _check_t(profile.t, "best_bound needs", strict=True)
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
     _check_pair(profile, envelope)
@@ -422,7 +416,7 @@ def best_bound(
     B = envelope.total()
 
     m = half_layers(t)
-    layers = _layer_logs(_check_t(t), D, schedule, m)
+    layers = _layer_logs(t, D, schedule, m)
     log_A, log_Bt = _log(A_t), t * _log(B)
     candidates = []  # (value, method, report builder)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _checked_array, pow00
+from .core import DomainError, ValidationError, _check_t, _checked_array, pow00
 from .schedules import PQSchedule, default_schedule, pq_eval
 
 __all__ = [
@@ -115,8 +115,7 @@ def check_norm_power_increment(space, x, y, t: float, schedule: PQSchedule | Non
     with Q'(x)(y) the directional derivative of the squared norm.  The
     returned residual (right side minus left side) is >= 0 when it holds.
     """
-    if t < 2.0:
-        raise DomainError(f"the increment inequality needs t >= 2, got t={t}")
+    _check_t(t, "the increment inequality needs")
     schedule = schedule or default_schedule()
     p_t, q_t = pq_eval(schedule, t)
     D = space.smoothness

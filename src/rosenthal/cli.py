@@ -36,11 +36,12 @@ from .core import (
     RosenthalError,
     ValidationError,
     VarianceEnvelope,
+    _check_t,
 )
 from .gaussian import ratio_curve
 from .models import MODEL_KINDS, make_model, simulate
 from .schedules import PQSchedule, default_schedule
-from .verify import _check_exponent, check_from_simulation
+from .verify import check_from_simulation
 
 _FLOAT_DIGITS = ".12g"
 
@@ -135,8 +136,13 @@ def _check_form(data, form: dict, name: str = "") -> None:
                     float(k)
                 except ValueError:
                     raise ValidationError(f"{field} keys must be numbers, got {k!r}") from None
-        elif sub is not None and (not isinstance(data[key], sub) or isinstance(data[key], bool)):
-            raise ValidationError(f"{field} must be a number")
+        elif sub is not None:
+            if not isinstance(data[key], sub) or isinstance(data[key], bool):
+                raise ValidationError(f"{field} must be a number")
+            try:
+                float(data[key])
+            except OverflowError:  # an integer beyond the float range
+                raise ValidationError(f"{field} must be within the float range") from None
 
 
 def _load_case(path: str) -> tuple[MomentProfile, VarianceEnvelope, float, PQSchedule | None]:
@@ -224,7 +230,7 @@ def _cmd_verify(args) -> int:
         params["dim"] = args.dim
     model = make_model(args.model, args.n, _parse_scale(args.b), **params)
     schedule = _schedule_from_args(args)
-    _check_exponent(args.t)
+    _check_t(args.t, "verification needs")
     sim = simulate(model, args.seed, args.reps)
     if args.dump_norms is not None:
         lines = ["replication,final_norm"]

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import _aggregate
-from .core import DomainError, ValidationError, _checked_array, _exp, _log, _log_sum
+from .core import DomainError, ValidationError, _check_t, _checked_array, _exp, _log, _log_sum
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
 
@@ -39,10 +39,9 @@ __all__ = [
 
 def recentering_ratio(t: float, b) -> float:
     """R(t, b) for t > 2 and b in [0, 1]; vectorized over b."""
-    if not t > 2.0:
-        raise DomainError(f"the re-centering ratio needs t > 2, got t={t}")
+    _check_t(t, "the re-centering ratio needs", strict=True)
     barr = np.asarray(b, dtype=float)
-    if np.any((barr < 0.0) | (barr > 1.0)):
+    if not np.all((barr >= 0.0) & (barr <= 1.0)):  # NaN fails both
         raise DomainError("b must lie in [0, 1]")
     return _ratio(t, float(barr) if barr.ndim == 0 else barr)
 
@@ -63,8 +62,7 @@ def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
     interior maximum, so golden-section search on the whole interval finds
     it; near t = 2 the top is flat, and b_t is only as sharp as R allows.
     """
-    if not t > 2.0:
-        raise DomainError(f"the re-centering constant needs t > 2, got t={t}")
+    _check_t(t, "the re-centering constant needs", strict=True)
     b_opt, neg = golden_section_minimize(lambda x: -_ratio(t, x), 0.0, 0.5, tol=tol)
     return float(b_opt), float(-neg)
 
@@ -84,8 +82,10 @@ class LipschitzMomentData:
     rho_2: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.t > 2.0:
-            raise ValidationError(f"t must exceed 2, got {self.t}")
+        try:
+            _check_t(self.t, "Lipschitz moment data needs", strict=True)
+        except DomainError as exc:
+            raise ValidationError(str(exc)) from None
         rt = _checked_array("rho_t", self.rho_t)
         r2 = _checked_array("rho_2", self.rho_2)
         if rt.shape != r2.shape:
@@ -119,8 +119,7 @@ def sum_norm_bound(
     sum_i E||X_i - y_i||^2; the value is
     C_t C_A moments_t + C_B moments_2^(t/2).
     """
-    if not t > 2.0:
-        raise DomainError(f"the central-moment bound needs t > 2, got t={t}")
+    _check_t(t, "the central-moment bound needs", strict=True)
     moments_t = float(moments_t)
     moments_2 = float(moments_2)
     if moments_t < 0.0 or moments_2 < 0.0:

@@ -32,7 +32,9 @@ schedule's constants are this form at its beta (``_log_layers``); the beta
 scan of ``best_bound`` takes the balanced value's terms once per call
 (``_log_balanced_beta_terms``) and minimizes by Newton on [0.02, 0.98].
 A value leaves the log domain only through ``core._exp``, so it is +inf
-above the float range and never NaN.
+above the float range and never NaN.  Exponents are checked by
+``core._check_t``, the one check of the exponent domain; ``MAX_T`` lives in
+``core`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .core import (
+    MAX_T,
     DomainError,
     ValidationError,
+    _check_t,
     _exp,
     _log,
     _log_sum,
@@ -62,20 +66,6 @@ __all__ = [
     "ConstantSet",
     "compute_constants",
 ]
-
-# The largest supported exponent: the advertised domain is 2 <= t <= MAX_T.
-# The constants are computed in logs, so no t here overflows.
-MAX_T = 60.0
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"exponent t must be finite and >= 0, got {t}")
-    if t > MAX_T:
-        raise DomainError(f"exponent t={t} exceeds the supported maximum {MAX_T}")
-    return t
-
 
 def _log_smooth(x: float, D: float) -> float:
     """log(x + D^2) for x >= 0 and D >= 1, finite for every finite D."""
@@ -206,6 +196,7 @@ def optimize_lambdas(
     if A_t < 0.0 or B < 0.0:
         raise ValidationError("moment totals must be >= 0")
     D = smoothness_value(D)
+    t = _check_t(t)
     log_A, log_Bt = _log(A_t), t * _log(B)
     return tuple(_aggregate(t, D, schedule or default_schedule(), log_A, log_Bt, "optimize")[2])
 
@@ -219,9 +210,7 @@ def _aggregate(
     lambdas are floats.  The caller has checked D and A_t, B >= 0."""
     if isinstance(lambdas, str) and lambdas != "optimize":
         raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-    t = _check_t(t)
-    if t <= 2.0:
-        raise DomainError(f"the aggregated constants need t > 2, got t={t}")
+    t = _check_t(t, "the aggregated constants need", strict=True)
     log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
     return log_c, log_top, *_balance(t, log_c, log_top, log_A, log_Bt, lambdas)
 
@@ -278,7 +267,7 @@ def compute_constants(
     t: float, D, schedule: PQSchedule | None = None, lambdas: Sequence[float] | None = None
 ) -> ConstantSet:
     """Evaluate every constant at once (t > 2); lambdas default to ones."""
-    t = float(t)
+    t = _check_t(t)
     D = smoothness_value(D)
     log_c, log_top, lam, log_ca, log_cb = _aggregate(
         t, D, schedule or default_schedule(), 0.0, 0.0, lambdas

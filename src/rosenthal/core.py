@@ -60,11 +60,31 @@ def exponent_key(s: float) -> str:
     return format(float(s), ".12g")
 
 
+# The largest supported exponent: the advertised domain is 2 <= t <= MAX_T.
+MAX_T = 60.0
+
+
+def _check_t(t, need: str | None = None, *, strict: bool = False) -> float:
+    """The one check of an exponent t: t as a float if it is finite, >= 0
+    and <= MAX_T, else a :class:`DomainError`.  ``need`` names the
+    operation ("verification needs"), which also needs t >= 2, or t > 2
+    with ``strict``.  An integer beyond the float range is not finite."""
+    try:
+        t = float(t)
+    except OverflowError:
+        t = math.inf if t > 0 else -math.inf
+    if need is not None and (t <= 2.0 if strict else t < 2.0):
+        raise DomainError(f"{need} t {'>' if strict else '>='} 2, got t={t}")
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"exponent t must be finite and >= 0, got {t}")
+    if t > MAX_T:
+        raise DomainError(f"exponent t={t} exceeds the supported maximum {MAX_T}")
+    return t
+
+
 def half_layers(t: float) -> int:
     """Number of full second-moment layers ``m = floor(t / 2)``."""
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"exponent t must be finite and >= 0, got {t}")
-    return int(math.floor(t / 2.0))
+    return int(math.floor(_check_t(t) / 2.0))
 
 
 def required_exponents(t: float) -> tuple[float, ...]:
@@ -134,14 +154,17 @@ def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
     """The one form of a per-index input: a read-only 1-d float64 copy of
     ``values`` whose entries are finite and >= 0 (> 0 with ``positive``),
     or a :class:`ValidationError` that names the input."""
+    entries = f"{name} must be finite and {'> 0' if positive else '>= 0'}"
     try:
         a = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(entries) from None
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a sequence of numbers") from None
     if a.ndim != 1:
         raise ValidationError(f"{name} must be a flat sequence")
     if not _entries_ok(a, positive):
-        raise ValidationError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
+        raise ValidationError(entries)
     a.setflags(write=False)
     return a
 
@@ -176,9 +199,7 @@ class MomentProfile:
     ) -> None:
         if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 0):
             raise ValidationError(f"n must be a nonnegative integer, got {n}")
-        t = float(t)
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValidationError(f"t must be finite and >= 0, got {t}")
+        t = _check_t(t)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "t", t)
 
@@ -311,7 +332,7 @@ class MomentProfile:
     @classmethod
     def from_dict(cls, data: Mapping, *, exact: bool = False) -> "MomentProfile":
         moments = {float(k): v for k, v in data["moments"].items()}
-        return cls(data["n"], float(data["t"]), moments, exact=exact)
+        return cls(data["n"], data["t"], moments, exact=exact)
 
     def __repr__(self) -> str:
         return f"MomentProfile(n={self.n}, t={self.t}, exponents={self.exponents})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, _exp
 
 __all__ = ["abs_moment_normal", "RatioCurvePoint", "ratio_curve"]
 
@@ -23,12 +23,13 @@ def abs_moment_normal(t: float) -> float:
     """E|Z|^t = 2^(t/2) Gamma((t+1)/2) / sqrt(pi) for Z standard normal.
 
     Evaluated through the log-gamma function; relative error is a few ulp
-    (far below 1e-12) for t up to 60.
+    (far below 1e-12) for t up to 60.  The value leaves the log domain
+    through ``core._exp``, so it is +inf beyond the float range.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"moment order must be finite and >= 0, got {t}")
-    return math.exp(0.5 * t * math.log(2.0) + math.lgamma((t + 1.0) / 2.0) - _LOG_SQRT_PI)
+    return _exp(0.5 * t * math.log(2.0) + math.lgamma((t + 1.0) / 2.0) - _LOG_SQRT_PI)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ column (n = 1) is summed pairwise, so there the column is one tile of R
 floats, the size of the stream.  An input that is not C-ordered is copied
 to C order first, so the estimate does not depend on memory layout.
 
+``check_from_simulation`` and ``estimate_and_check`` check 2 <= t <=
+``MAX_T`` through ``core._check_t``, the one check of the exponent domain,
+before they simulate or estimate anything.
+
 The check passes when
 
     estimate - 3 * standard_error <= layered bound
@@ -35,9 +39,9 @@ import numpy as np
 from .bounds import corollary_bound, theorem_bound
 from .core import (
     BoundReport,
-    DomainError,
     MomentProfile,
     ValidationError,
+    _check_t,
     _entries_ok,
     required_exponents,
 )
@@ -89,12 +93,6 @@ class VerificationReport:
             "profile": self.profile,
             "z": self.z,
         }
-
-
-def _check_exponent(t: float) -> None:
-    """Reject t < 2 before any simulation is spent on it."""
-    if t < 2.0:
-        raise DomainError(f"verification needs t >= 2, got t={t}")
 
 
 def empirical_profile(
@@ -153,7 +151,7 @@ def check_from_simulation(
 ) -> VerificationReport:
     """Bound check against an existing simulation (shared across exponents);
     ``seed``, where given, must be the simulation's, which the report records."""
-    _check_exponent(t)
+    _check_t(t, "verification needs")
     if seed is not None and seed != sim._seed:
         raise ValidationError(f"seed {seed} is not the simulation's seed {sim._seed}")
     schedule = schedule or default_schedule()
@@ -207,6 +205,6 @@ def estimate_and_check(
     threads: int | None = None,
 ) -> VerificationReport:
     """Simulate a model and check the bounds at exponent t >= 2."""
-    _check_exponent(t)
+    _check_t(t, "verification needs")
     sim = simulate(model, seed, replications, threads=threads)
     return check_from_simulation(model, sim, t, schedule)

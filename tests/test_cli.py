@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from conftest import make_valid_case
 
-from rosenthal import cli
+from rosenthal import cli, models
 from rosenthal.cli import build_parser, main
 
 SHARP_CASE = {
@@ -167,12 +168,33 @@ class TestBoundCommand:
                                               moments={"3": [1.0, 1.0], "2": [1.0, 1.0]})),
                 "n must be a nonnegative integer, got 2.7",
             ),
+            # An integer beyond the float range (10^400) names its field.
+            (dict(SHARP_CASE, envelope={"b": [10**400]}), "envelope b must be finite and > 0"),
+            (dict(SHARP_CASE, D=10**400), "D must be within the float range"),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], n=10**400)),
+                "profile.n must be within the float range",
+            ),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], t=10**400)),
+                "profile.t must be within the float range",
+            ),
+            (
+                dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"],
+                                              moments={"3": [10**400], "2": [1.0]})),
+                "moments at s=3.0 must be finite and >= 0",
+            ),
+            (
+                dict(SHARP_CASE, schedule={"kind": "beta_family", "beta": 10**400}),
+                "schedule.beta must be within the float range",
+            ),
         ],
         ids=["list", "null profile", "null envelope", "null schedule", "null D",
              "list moments", "null n", "null beta", "custom without table",
              "table key", "moments key", "schedule without kind", "unknown kind",
              "beta_family without beta", "no n", "no t", "no moments", "no profile",
-             "no envelope", "no b", "fractional n"],
+             "no envelope", "no b", "fractional n", "huge b", "huge D", "huge n",
+             "huge t", "huge moment", "huge beta"],
     )
     @pytest.mark.parametrize("method", ["best", "theorem", "corollary", "closed", "pin94"])
     def test_malformed_case_file(self, tmp_path, capsys, case, named, method):
@@ -337,6 +359,20 @@ class TestVerifyCommand:
             args += ["--dump-norms", str(tmp_path / "norms.csv")]
         code, out, err = run_main(args, capsys)
         assert (code, out, err) == (2, "", "error: verification needs t >= 2, got t=1.5\n")
+
+    @pytest.mark.parametrize("t", ["nan", "61", "1e7"])
+    def test_t_outside_domain_rejected_before_drawing(self, capsys, monkeypatch, t):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("drew a stream for a rejected t")
+
+        monkeypatch.setattr(models, "_run_stream", no_stream)
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["verify", "--model", "rademacher", "--t", t, "--reps", "1000"], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exponent t") and err.count("\n") == 1
 
     def test_two_point_model_flag(self, capsys):
         code, out, _ = run_main(

@@ -40,6 +40,10 @@ class TestRecenteringRatio:
             recentering_ratio(2.0, 0.1)
         with pytest.raises(DomainError):
             recentering_ratio(3.0, 1.1)
+        with pytest.raises(DomainError):
+            recentering_ratio(3.0, float("nan"))
+        with pytest.raises(DomainError):
+            recentering_ratio(3.0, [0.2, float("nan")])
 
 
 class TestFindBt:

@@ -21,11 +21,21 @@ from rosenthal import (
     optimize_lambdas,
     theorem_bound,
 )
-from rosenthal.bounds import BETA_GRID, _best_beta_corollary
+from rosenthal import constants, core
+from rosenthal.bounds import BETA_GRID, _best_beta_corollary, pin94_bound
+from rosenthal.checks import LpSpace, check_norm_power_increment
+from rosenthal.concentration import (
+    LipschitzMomentData,
+    find_bt,
+    recentering_ratio,
+    sum_norm_bound,
+)
 from rosenthal.constants import MAX_T, _layer_logs
-from rosenthal.core import MomentProfile, VarianceEnvelope, required_exponents
+from rosenthal.core import MomentProfile, VarianceEnvelope, half_layers, required_exponents
+from rosenthal.models import make_model
 from rosenthal.optimize import grid_then_golden_minimize
 from rosenthal.schedules import pq_eval
+from rosenthal.verify import estimate_and_check
 
 
 class TestLayerConstants:
@@ -347,19 +357,56 @@ class TestConstantsParity:
         assert best_bound(prof, env, D).value <= scanned.value
 
 
+# Each entry point that takes an exponent, called at t with otherwise valid
+# arguments; the exponent domain is checked by core alone.
+_EXPONENT_CALLS = {
+    "c_j": lambda t: c_j(t, 1.0, None, 0),
+    "c_tilde": lambda t: c_tilde(t, 1.0),
+    "C_A": lambda t: C_A(t, 1.0, None, [1.0] * 30),
+    "C_B": lambda t: C_B(t, 1.0, None, [1.0] * 30),
+    "optimize_lambdas": lambda t: optimize_lambdas(t, 1.0, None, 1.0, 1.0),
+    "compute_constants": lambda t: compute_constants(t, 1.0),
+    "half_layers": lambda t: half_layers(t),
+    "required_exponents": lambda t: required_exponents(t),
+    "MomentProfile": lambda t: MomentProfile(1, t, {3.0: [1.0], 2.0: [1.0]}),
+    "exact_profile": lambda t: make_model("rademacher", 3, 1.0).exact_profile(t),
+    "pin94_bound": lambda t: pin94_bound(t, 1.0, 1.0, 1.0),
+    "find_bt": lambda t: find_bt(t),
+    "recentering_ratio": lambda t: recentering_ratio(t, 0.3),
+    "sum_norm_bound": lambda t: sum_norm_bound(t, 1.0, 1.0),
+    "LipschitzMomentData": lambda t: LipschitzMomentData(t, (1.0,), (1.0,)),
+    "check_norm_power_increment": lambda t: check_norm_power_increment(
+        LpSpace(3.0, 2), [1.0, 0.0], [0.5, 0.5], t
+    ),
+    "estimate_and_check": lambda t: estimate_and_check(
+        make_model("rademacher", 3, 1.0), t, replications=16
+    ),
+}
+
+
 class TestConstantsErrors:
     def test_exponent_above_max_t(self):
-        t = MAX_T + 0.5
-        for call in (
-            lambda: c_j(t, 1.0, None, 0),
-            lambda: c_tilde(t, 1.0),
-            lambda: C_A(t, 1.0, None, [1.0] * 30),
-            lambda: C_B(t, 1.0, None, [1.0] * 30),
-            lambda: optimize_lambdas(t, 1.0, None, 1.0, 1.0),
-            lambda: compute_constants(t, 1.0),
-        ):
-            with pytest.raises(DomainError, match="exceeds the supported maximum"):
-                call()
+        # One check in core owns the domain: every entry point raises a
+        # RosenthalError outside it, never an OverflowError, a MemoryError or
+        # a NaN value.  LipschitzMomentData keeps its ValidationError.
+        assert constants.MAX_T is core.MAX_T == 60.0
+        assert "MAX_T" in constants.__all__
+        for name, call in _EXPONENT_CALLS.items():
+            want = ValidationError if name == "LipschitzMomentData" else DomainError
+            for t in (MAX_T + 0.5, 1e308):
+                with pytest.raises(want, match="exceeds the supported maximum"):
+                    call(t)
+            for t in (math.nan, math.inf, 10**400):
+                with pytest.raises(want, match="must be finite"):
+                    call(t)
+            for t in (-1.0, -(10**400)):  # below 0, or below 2 where t >= 2 is needed
+                with pytest.raises(want):
+                    call(t)
+
+    def test_corollary_below_two_is_a_domain_error(self):
+        prof = MomentProfile(1, 1.5, {2.0: [1.0]})
+        with pytest.raises(DomainError, match="needs t > 2, got t=1.5"):
+            corollary_bound(prof, VarianceEnvelope([1.0]), 1.0)
 
     @pytest.mark.parametrize("j", [-1, 3, 0.5, 1.5])
     def test_bad_layer_index(self, j):

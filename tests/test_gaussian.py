@@ -32,6 +32,10 @@ class TestAbsMomentNormal:
     def test_zeroth_moment(self):
         assert abs_moment_normal(0.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_beyond_float_range_is_inf(self):
+        # log E|Z|^400 is about 997, beyond the float range; no OverflowError
+        assert abs_moment_normal(400.0) == math.inf
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             abs_moment_normal(-0.1)

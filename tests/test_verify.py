@@ -20,7 +20,7 @@ from rosenthal import (
     estimate_and_check,
     simulate,
 )
-from rosenthal import verify
+from rosenthal import models, verify
 from rosenthal.core import required_exponents
 from rosenthal.models import _TILE_ELEMS
 from rosenthal.verify import _stream_means, check_from_simulation, empirical_profile
@@ -282,6 +282,15 @@ class TestReports:
     def test_t_below_two_rejected(self):
         with pytest.raises(DomainError):
             estimate_and_check(RademacherModel(1, 1.0), 1.5, replications=10)
+
+    @pytest.mark.parametrize("t", [math.nan, 61.0, 1e7])
+    def test_t_outside_domain_draws_nothing(self, monkeypatch, t):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("drew a stream for a rejected t")
+
+        monkeypatch.setattr(models, "_run_stream", no_stream)
+        with pytest.raises(DomainError):
+            estimate_and_check(RademacherModel(3, 1.0), t, replications=1000)
 
     def test_zero_estimate_has_no_slack(self):
         # seed 1 leaves every replication of this sparse walk at the origin
