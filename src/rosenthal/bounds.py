@@ -44,6 +44,7 @@ from .core import (
     ValidationError,
     VarianceEnvelope,
     _check_t,
+    _checked_scalar,
     _exp,
     _log,
     _log_sum,
@@ -80,47 +81,31 @@ def _check_pair(profile: MomentProfile, envelope: VarianceEnvelope) -> None:
         )
 
 
-def _check_nonneg(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"{name} must be finite and >= 0, got {x}")
-    return x
-
-
 def theorem_bound(
     profile: MomentProfile,
     envelope: VarianceEnvelope,
     D,
     schedule: PQSchedule | None = None,
-    *,
-    allow_small_t: bool = False,
 ) -> BoundReport:
-    """The layered subset-sum bound on E||S_n||^t.
+    """The layered subset-sum bound on E||S_n||^t (t >= 2).
 
     Evaluates  sum_{j<m} c_j(t) T_j + c~_m(t) T~_m  where T_j groups the
     j-subsets of steps by their first element with prefix values
     A_{k}(t-2j), and the top layer uses (A_k(2))^(t/2-m) with 0^0 := 1.
-
-    Exponents t < 2 degenerate (m = 0 leaves only (A_n(2))^(t/2) with no
-    dependence on D) and are rejected unless ``allow_small_t`` is set.
+    The profile has checked t, so m = floor(t/2) >= 1.
     """
     _check_pair(profile, envelope)
-    t = profile.t
-    if not allow_small_t:
-        _check_t(t, "without allow_small_t=True, the layered bound needs")
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
-    A_t = profile.total(t) if profile.has_exponent(t) else None
-    return _layered(profile, envelope, D, schedule, A_t, envelope.total())
+    return _layered(profile, envelope, D, schedule, profile.total(profile.t), envelope.total())
 
 
 def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -> BoundReport:
-    """The layered bound's report from the totals A_n(t) (None when t is
-    unstored) and B_n.  The layers come from one pass of `_layer_sums`:
-    T_0 = A_n(t); T_j = sum_i a_i(t-2j) e_j(w_{i+1}..w_n) for 0 < j < m,
-    the min-grouped sum with its two sums swapped, so that no prefix sums
-    are formed; the top layer is min-grouped over the prefix values
-    (A_k(2))^(t/2-m).  They combine with the layer constants of
+    """The layered bound's report from the totals A_n(t) and B_n.  The
+    layers come from one pass of `_layer_sums`: T_0 = A_n(t);
+    T_j = sum_i a_i(t-2j) e_j(w_{i+1}..w_n) for 0 < j < m, the min-grouped
+    sum with its two sums swapped, so that no prefix sums are formed; the
+    top layer is min-grouped over the prefix values (A_k(2))^(t/2-m).  They combine with the layer constants of
     `_log_layers` in logs.  Layer j is homogeneous of degree j in the
     weights b_i^2, so the kernel runs on w = (b_i / B_n)^2, which sum to 1,
     and layer j carries B_n^{2j} in logs.  Where B_n itself is beyond the
@@ -140,7 +125,7 @@ def _layered_log(profile, envelope, A_t, B: float, log_c, log_top: float) -> flo
     if unit == math.inf:
         unit = float(envelope.b.max())
     layers = _layer_sums(
-        A_t if m else None,
+        A_t,
         [profile.moment_array(t - 2.0 * j) for j in range(1, m)],
         profile.moment_array(2.0),
         envelope.b,
@@ -159,7 +144,7 @@ def _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value) ->
         method="theorem",
         constants={"c": [_exp(x) for x in log_c], "c_tilde": _exp(log_top)},
         parameters={"schedule": schedule.to_dict()},
-        ratio_r=None if A_t is None else _ratio_scalar(t, A_t, B, envelope),
+        ratio_r=_ratio_scalar(t, A_t, B, envelope),
     )
 
 
@@ -262,8 +247,8 @@ def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> Boun
     floats, into the report's parameters."""
     form = _check_interval(name, t)
     D = smoothness_value(D)
-    A_t = _check_nonneg(a_name, A_t)
-    B = _check_nonneg("B", B)
+    A_t = _checked_scalar(a_name, A_t)
+    B = _checked_scalar("B", B)
     log_value, constants = form.formula(t, D, _log(A_t), t * _log(B), **params)
     return BoundReport(
         value=_exp(log_value),
@@ -319,8 +304,7 @@ class Pin94Config:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise ValidationError(f"K must be finite and > 0, got {self.K}")
+        _checked_scalar("K", self.K, 0.0, strict=True)
 
 
 def _pin94_log(t: float, D: float, log_A: float, log_Bt: float, c: float) -> float:
@@ -337,14 +321,14 @@ def pin94_bound(
     Unlike the layered bounds it does not require the conditional-variance
     envelope assumption, but its constants are far larger.
     """
-    _check_t(t, "the comparison bound needs")
+    t = _check_t(t, "the comparison bound needs")
     config = config or Pin94Config()
     D = smoothness_value(D)
-    A_t = _check_nonneg("A_t", A_t)
-    B = _check_nonneg("B", B)
+    A_t = _checked_scalar("A_t", A_t)
+    B = _checked_scalar("B", B)
     log_A, log_Bt = _log(A_t), t * _log(B)
     if config.c is not None:
-        c = float(config.c)
+        c = _checked_scalar("balancing parameter c", config.c, None, error=DomainError)
         if not 1.0 <= c <= t:
             raise DomainError(f"balancing parameter c must lie in [1, {t}], got {c}")
     else:
@@ -358,22 +342,6 @@ def pin94_bound(
         parameters={"c": c},
         ratio_r=_ratio_scalar(t, A_t, B),
     )
-
-
-def _best_beta_corollary(
-    t: float, D: float, A_t: float, B: float, envelope: VarianceEnvelope | None = None
-) -> BoundReport:
-    """Aggregated bound with the schedule parameter tuned on [0.02, 0.98],
-    the span of ``BETA_GRID``.  The log of the balanced value is a
-    log-sum-exp of terms linear in log beta and log(1-beta) with
-    nonpositive slopes (:func:`_log_balanced_beta_terms`, computed once per
-    call), hence convex, and a safeguarded Newton solve in the logit of
-    beta minimizes it in about 8 O(m) steps.  One report is built, at the
-    winning beta; the grid scan of ``grid_then_golden_minimize`` over
-    ``BETA_GRID`` stays as the reference the tests and benchmark check it
-    against."""
-    beta = _tuned_beta(t, D, _log(A_t), t * _log(B))
-    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B, envelope=envelope)
 
 
 def _tuned_beta(t: float, D: float, log_A: float, log_Bt: float, layers=None) -> float:

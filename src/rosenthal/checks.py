@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _check_t, _checked_array, pow00
+from .core import DomainError, ValidationError, _check_t, _checked_array, _checked_scalar, pow00
 from .schedules import PQSchedule, default_schedule, pq_eval
 
 __all__ = [
@@ -56,7 +56,7 @@ class LpSpace:
     dim: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p >= 2.0):
+        if _checked_scalar("l_p exponent", self.p, None) < 2.0:
             raise ValidationError(f"l_p exponent must satisfy p >= 2, got {self.p}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValidationError(f"dimension must be an integer >= 1, got {self.dim}")

@@ -25,7 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from .constants import _aggregate
-from .core import DomainError, ValidationError, _check_t, _checked_array, _exp, _log, _log_sum
+from .core import (
+    DomainError,
+    ValidationError,
+    _check_t,
+    _checked_array,
+    _checked_scalar,
+    _exp,
+    _log,
+    _log_sum,
+)
 from .optimize import golden_section_minimize
 from .schedules import PQSchedule, default_schedule
 
@@ -39,11 +48,14 @@ __all__ = [
 
 def recentering_ratio(t: float, b) -> float:
     """R(t, b) for t > 2 and b in [0, 1]; vectorized over b."""
-    _check_t(t, "the re-centering ratio needs", strict=True)
-    barr = np.asarray(b, dtype=float)
-    if not np.all((barr >= 0.0) & (barr <= 1.0)):  # NaN fails both
+    t = _check_t(t, "the re-centering ratio needs", strict=True)
+    if np.ndim(b) == 0:
+        b = _checked_scalar("b", b, None, error=DomainError)
+    else:
+        b = np.asarray(b, dtype=float)
+    if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails both
         raise DomainError("b must lie in [0, 1]")
-    return _ratio(t, float(barr) if barr.ndim == 0 else barr)
+    return _ratio(t, b)
 
 
 def _ratio(t: float, b):
@@ -119,13 +131,9 @@ def sum_norm_bound(
     sum_i E||X_i - y_i||^2; the value is
     C_t C_A moments_t + C_B moments_2^(t/2).
     """
-    _check_t(t, "the central-moment bound needs", strict=True)
-    moments_t = float(moments_t)
-    moments_2 = float(moments_2)
-    if moments_t < 0.0 or moments_2 < 0.0:
-        raise ValidationError("moment sums must be >= 0")
-    if not (math.isfinite(moments_t) and math.isfinite(moments_2)):
-        raise ValidationError("moment sums must be finite")
+    t = _check_t(t, "the central-moment bound needs", strict=True)
+    moments_t = _checked_scalar("moments_t", moments_t)
+    moments_2 = _checked_scalar("moments_2", moments_2)
     schedule = schedule or default_schedule()
     log_A, log_Bt = _log(moments_t), t / 2.0 * _log(moments_2)
     *_, log_ca, log_cb = _aggregate(t, 1.0, schedule, log_A, log_Bt, lambdas)

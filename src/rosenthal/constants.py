@@ -48,6 +48,8 @@ from .core import (
     DomainError,
     ValidationError,
     _check_t,
+    _checked_array,
+    _checked_scalar,
     _exp,
     _log,
     _log_sum,
@@ -112,8 +114,8 @@ def _logs_at(layers, beta: float) -> tuple[list[float], float]:
 
 
 def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
-    """The j-th layer constant c_j(t), for 0 <= j <= m-1."""
-    t = _check_t(t)
+    """The j-th layer constant c_j(t), for 0 <= j <= m-1 (t >= 2)."""
+    t = _check_t(t, "the layer constants need")
     D = smoothness_value(D)
     m = half_layers(t)
     if int(j) != j or not 0 <= j <= m - 1:
@@ -122,8 +124,8 @@ def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
 
 
 def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:
-    """The top-layer constant c~_m(t); 1 when m = 0."""
-    t = _check_t(t)
+    """The top-layer constant c~_m(t), m = floor(t/2) >= 1 (t >= 2)."""
+    t = _check_t(t, "the layer constants need")
     D = smoothness_value(D)
     return _exp(_log_layers(t, D, schedule or default_schedule(), half_layers(t))[1])
 
@@ -193,10 +195,10 @@ def optimize_lambdas(
     does not depend on c_j.  Degenerate layers (j = 0 or a vanishing
     exponent t-2j-2) and a vanishing A_t or B default to lambda_j = 1.
     """
-    if A_t < 0.0 or B < 0.0:
-        raise ValidationError("moment totals must be >= 0")
+    t = _check_t(t, "the aggregated constants need", strict=True)
     D = smoothness_value(D)
-    t = _check_t(t)
+    A_t = _checked_scalar("A_t", A_t)
+    B = _checked_scalar("B", B)
     log_A, log_Bt = _log(A_t), t * _log(B)
     return tuple(_aggregate(t, D, schedule or default_schedule(), log_A, log_Bt, "optimize")[2])
 
@@ -207,10 +209,10 @@ def _aggregate(
     """(log c, log c~_m, lambdas, log C_A, log C_B) at one (t, D, schedule)
     from the logs of A_t and B^t.  ``lambdas`` is a sequence, ``None`` for
     all ones or ``"optimize"`` (:func:`optimize_lambdas`); the returned
-    lambdas are floats.  The caller has checked D and A_t, B >= 0."""
+    lambdas are floats.  The caller has checked 2 < t <= MAX_T, D and
+    A_t, B >= 0."""
     if isinstance(lambdas, str) and lambdas != "optimize":
         raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-    t = _check_t(t, "the aggregated constants need", strict=True)
     log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
     return log_c, log_top, *_balance(t, log_c, log_top, log_A, log_Bt, lambdas)
 
@@ -228,11 +230,11 @@ def _balance(
         log_lam = [log_r if j and t - 2 * j - 2 != 0.0 else 0.0 for j in range(m)]
         lam = [_exp(x) for x in log_lam]
     else:
-        lam = [float(x) for x in ((1.0,) * m if lambdas is None else lambdas)]
+        lam = [1.0] * m if lambdas is None else _checked_array(
+            "balancing parameters", lambdas, positive=True
+        ).tolist()
         if len(lam) != m:
             raise ValidationError(f"need {m} balancing parameters, got {len(lam)}")
-        if any(not math.isfinite(x) or x <= 0.0 for x in lam):
-            raise ValidationError("balancing parameters must be finite and > 0")
         log_lam = [math.log(x) for x in lam]
     return lam, *_log_coefficients(t, log_c, log_top, log_lam)
 
@@ -267,7 +269,7 @@ def compute_constants(
     t: float, D, schedule: PQSchedule | None = None, lambdas: Sequence[float] | None = None
 ) -> ConstantSet:
     """Evaluate every constant at once (t > 2); lambdas default to ones."""
-    t = _check_t(t)
+    t = _check_t(t, "the aggregated constants need", strict=True)
     D = smoothness_value(D)
     log_c, log_top, lam, log_ca, log_cb = _aggregate(
         t, D, schedule or default_schedule(), 0.0, 0.0, lambdas

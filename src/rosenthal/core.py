@@ -8,7 +8,6 @@ threads without synchronization.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -64,34 +63,31 @@ def exponent_key(s: float) -> str:
 MAX_T = 60.0
 
 
-def _check_t(t, need: str | None = None, *, strict: bool = False) -> float:
-    """The one check of an exponent t: t as a float if it is finite, >= 0
-    and <= MAX_T, else a :class:`DomainError`.  ``need`` names the
-    operation ("verification needs"), which also needs t >= 2, or t > 2
-    with ``strict``.  An integer beyond the float range is not finite."""
-    try:
-        t = float(t)
-    except OverflowError:
-        t = math.inf if t > 0 else -math.inf
-    if need is not None and (t <= 2.0 if strict else t < 2.0):
+def _check_t(t, need: str, *, strict: bool = False) -> float:
+    """The one check of an exponent t: t as a float when it is finite,
+    >= 2 (> 2 with ``strict``) and <= MAX_T, else a :class:`DomainError`.
+    ``need`` names the operation in the message for t below 2
+    ("verification needs t >= 2, got t=1.5")."""
+    t = _checked_scalar("exponent t", t, None, error=DomainError)
+    if t <= 2.0 if strict else t < 2.0:
         raise DomainError(f"{need} t {'>' if strict else '>='} 2, got t={t}")
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"exponent t must be finite and >= 0, got {t}")
     if t > MAX_T:
         raise DomainError(f"exponent t={t} exceeds the supported maximum {MAX_T}")
     return t
 
 
 def half_layers(t: float) -> int:
-    """Number of full second-moment layers ``m = floor(t / 2)``."""
-    return int(math.floor(_check_t(t) / 2.0))
+    """Number of full second-moment layers ``m = floor(t / 2)``, for
+    2 <= t <= MAX_T."""
+    return int(math.floor(_check_t(t, "the layers need") / 2.0))
 
 
 def required_exponents(t: float) -> tuple[float, ...]:
     """Moment exponents a profile must store to bound the t-th moment.
 
     These are ``t - 2j`` for ``j = 0 .. m-1`` together with ``2``, where
-    ``m = floor(t/2)``.  Duplicates (exactly even ``t``) are removed.
+    ``m = floor(t/2) >= 1``, so t itself is always one of them.  Duplicates
+    (exactly even ``t``) are removed.
     """
     m = half_layers(t)
     out: list[float] = []
@@ -134,10 +130,7 @@ class SmoothnessConstant:
 
 def smoothness_value(D) -> float:
     """Coerce a number or :class:`SmoothnessConstant` to a validated float."""
-    v = float(D)
-    if not (math.isfinite(v) and v >= 1.0):
-        raise ValidationError(f"smoothness constant must be finite and >= 1, got {v}")
-    return v
+    return _checked_scalar("smoothness constant", D, 1.0)
 
 
 def _entries_ok(a: np.ndarray, positive: bool = False) -> bool:
@@ -148,6 +141,37 @@ def _entries_ok(a: np.ndarray, positive: bool = False) -> bool:
         return True
     lo = a.min()
     return bool((lo > 0.0 if positive else lo >= 0.0) and a.max() < math.inf)
+
+
+def _checked_scalar(
+    name: str, x, lo: float | None = 0.0, *, strict: bool = False, integer: bool = False,
+    error: type[RosenthalError] = ValidationError,
+) -> float:
+    """The one form of a scalar input: ``x`` as a float when it is a
+    finite number >= ``lo`` (> ``lo`` with ``strict``, any finite number
+    with ``lo=None``, a nonnegative integer with ``integer``), else an
+    ``error`` that names the input and the rule.  An integer beyond the
+    float range is not finite, and a string is not a number."""
+    try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError
+        v = float(x)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {x!r}") from None
+    if integer:
+        ok = v >= 0.0 and v.is_integer()
+    else:
+        ok = math.isfinite(v) and (lo is None or (v > lo if strict else v >= lo))
+    if not ok:
+        rule = (
+            "a nonnegative integer" if integer
+            else "finite" if lo is None
+            else f"finite and {'>' if strict else '>='} {lo:g}"
+        )
+        raise error(f"{name} must be {rule}, got {v}")
+    return v
 
 
 def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
@@ -197,23 +221,17 @@ class MomentProfile:
         *,
         exact: bool = False,
     ) -> None:
-        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 0):
-            raise ValidationError(f"n must be a nonnegative integer, got {n}")
-        t = _check_t(t)
-        object.__setattr__(self, "n", int(n))
+        n = int(_checked_scalar("n", n, integer=True))
+        t = _check_t(t, "a moment profile needs")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
 
         try:
-            exps_seq = [float(s) for s in moments]
+            exps_seq = [_checked_scalar("moment exponent", s) for s in moments]
             block = np.array(list(moments.values()), dtype=float)
         except (TypeError, ValueError, OverflowError):  # named by the one-by-one checks
             block = None
-        if (
-            block is not None
-            and block.shape == (len(exps_seq), self.n)
-            and all(math.isfinite(s) and s >= 0.0 for s in exps_seq)
-            and _entries_ok(block)
-        ):
+        if block is not None and block.shape == (len(exps_seq), self.n) and _entries_ok(block):
             block.setflags(write=False)
             keys = [exponent_key(s) for s in exps_seq]
             arrays = dict(zip(keys, block))
@@ -237,9 +255,7 @@ class MomentProfile:
         arrays: dict[str, np.ndarray] = {}
         exps: dict[str, float] = {}
         for s, seq in moments.items():
-            s = float(s)
-            if not (math.isfinite(s) and s >= 0.0):
-                raise ValidationError(f"moment exponent must be finite and >= 0, got {s}")
+            s = _checked_scalar("moment exponent", s)
             a = _checked_array(f"moments at s={s}", seq)
             if a.shape[0] != self.n:
                 raise ValidationError(
@@ -467,7 +483,6 @@ def _ratio_scalar(t: float, A_t: float, B: float, envelope=None) -> float | None
 
 
 def moment_ratio(profile: MomentProfile, envelope: VarianceEnvelope) -> float | None:
-    """A_n(t) / B_n^t, or None when undefined (B_n = 0 or t unstored)."""
-    if not profile.has_exponent(profile.t):
-        return None
+    """A_n(t) / B_n^t, or None when B_n = 0 (no steps).  Every profile
+    stores its own t (see :func:`required_exponents`)."""
     return _ratio_scalar(profile.t, profile.total(profile.t), envelope.total(), envelope)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, _exp
+from .core import DomainError, _checked_scalar, _exp
 
 __all__ = ["abs_moment_normal", "RatioCurvePoint", "ratio_curve"]
 
@@ -26,9 +26,7 @@ def abs_moment_normal(t: float) -> float:
     (far below 1e-12) for t up to 60.  The value leaves the log domain
     through ``core._exp``, so it is +inf beyond the float range.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"moment order must be finite and >= 0, got {t}")
+    t = _checked_scalar("moment order", t, error=DomainError)
     return _exp(0.5 * t * math.log(2.0) + math.lgamma((t + 1.0) / 2.0) - _LOG_SQRT_PI)
 
 

@@ -21,6 +21,7 @@ from .core import (
     DomainError,
     MissingExponentError,
     ValidationError,
+    _checked_scalar,
     exponent_key,
 )
 
@@ -54,15 +55,18 @@ def validate_pq(p: float, q: float, s: float, *, rtol: float = _PQ_RTOL) -> bool
 
 
 def _pair(s: float, entry) -> tuple[float, float]:
-    """A custom table's entry at exponent s as two floats (p, q), or a
-    :class:`ValidationError` that names s."""
+    """A custom table's entry at exponent s as two finite floats (p, q), or
+    a :class:`ValidationError` that names s."""
     try:
         p, q = entry
-        if not isinstance(p, (str, bytes)) and not isinstance(q, (str, bytes)):
-            return float(p), float(q)
     except (TypeError, ValueError):
-        pass
-    raise ValidationError(f"table entry at s={s} must be a pair of numbers (p, q), got {entry!r}")
+        p = q = None
+    if any(x is None or isinstance(x, (str, bytes)) for x in (p, q)):
+        raise ValidationError(
+            f"table entry at s={s} must be a pair of numbers (p, q), got {entry!r}"
+        )
+    name = f"table entry at s={s}"
+    return _checked_scalar(name, p, None), _checked_scalar(name, q, None)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class PQSchedule:
                 raise ValidationError("custom schedule needs a nonempty table")
             checked = {}
             for s, entry in dict(self.table).items():
-                s = float(s)
+                s = _checked_scalar("table exponent", s, None)
                 p, q = _pair(s, entry)
                 if not validate_pq(p, q, s):
                     raise ValidationError(

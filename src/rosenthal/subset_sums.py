@@ -241,7 +241,7 @@ def _rounded_sum(terms: np.ndarray, work: np.ndarray | None = None) -> float:
 
 
 def _layer_sums(
-    A_t: float | None,
+    A_t: float,
     moments: Sequence[np.ndarray],
     a2: np.ndarray,
     b: np.ndarray,
@@ -252,11 +252,11 @@ def _layer_sums(
     w_i = (b_i / unit)^2.
 
     ``moments`` are the arrays a(t - 2j) for 0 < j < m, so m is
-    ``len(moments) + 1``; ``A_t`` is T_0 = A_n(t), or None for m = 0.
+    ``len(moments) + 1`` >= 1 (t >= 2); ``A_t`` is T_0 = A_n(t).
     Layer 0 < j < m is sum_i a_i(t-2j) e_j(w_{i+1}..w_n), the min-grouped
     sum of prefix values A_k(t-2j) with the two sums swapped.  The top
     layer keeps the min-grouped form with prefix values (A_k(2))^expo
-    (0^0 := 1); for m = 0 it is (A_n(2))^expo.  Layers with j > n are 0.
+    (0^0 := 1).  Layers with j > n are 0.
 
     One workspace serves the call: the terms (which also hold the step's
     products and, last, the top layer's prefix values), the suffix column
@@ -266,7 +266,7 @@ def _layer_sums(
     `_rounded_sum`.
     """
     n = b.shape[0]
-    m = 0 if A_t is None else len(moments) + 1
+    m = len(moments) + 1
     rows = n + 1 if m >= 2 else 0
     scratch = n if n >= _SPLIT_MIN_N else 0
     work = np.empty(2 * n + 1 + rows + scratch)
@@ -274,7 +274,7 @@ def _layer_sums(
     terms = g[:n]
     np.divide(b, unit, out=w)
     np.multiply(w, w, out=w)
-    layers = [] if A_t is None else [float(A_t)]
+    layers = [float(A_t)]
     with np.errstate(over="ignore", invalid="ignore"):
         for j, a in enumerate(moments, start=1):
             if j > n:
@@ -288,9 +288,7 @@ def _layer_sums(
             np.power(g, expo, out=g)
         else:
             g.fill(1.0)
-        if m == 0:
-            layers.append(float(g[n]))
-        elif m > n:
+        if m > n:
             layers.append(0.0)
         else:
             top = np.multiply(g[:n], w, out=terms)

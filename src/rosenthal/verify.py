@@ -149,9 +149,12 @@ def check_from_simulation(
     *,
     seed: int | None = None,
 ) -> VerificationReport:
-    """Bound check against an existing simulation (shared across exponents);
-    ``seed``, where given, must be the simulation's, which the report records."""
+    """Bound check against an existing simulation (shared across exponents)
+    of ``model`` itself; ``seed``, where given, must be the simulation's,
+    which the report records."""
     _check_t(t, "verification needs")
+    if model is not sim._model:
+        raise ValidationError(f"model {model.kind} (n={model.n}) is not the simulated model")
     if seed is not None and seed != sim._seed:
         raise ValidationError(f"seed {seed} is not the simulation's seed {sim._seed}")
     schedule = schedule or default_schedule()

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from rosenthal import MomentProfile, VarianceEnvelope, required_exponents
+from rosenthal import MomentProfile, PQSchedule, VarianceEnvelope, required_exponents
+from rosenthal.bounds import _aggregated, _tuned_beta
+from rosenthal.core import _log
 
 
 def increment_scale(space, x, y, t):
@@ -48,3 +50,10 @@ def make_valid_case(rng, t=None, n=None, max_n=30):
         second[i] = float(np.sum(probs * vals**2))
     b = np.sqrt(second * (1.0 + rng.uniform(0.0, 0.5, size=n)))
     return MomentProfile(n, t, moments), VarianceEnvelope(b)
+
+
+def scanned_corollary(t, D, A_t, B):
+    """The scanned candidate of ``best_bound``: the aggregated bound at the
+    beta its schedule scan (`_tuned_beta`) picks."""
+    beta = _tuned_beta(t, D, _log(A_t), t * _log(B))
+    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)

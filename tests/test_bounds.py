@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import make_valid_case
+from conftest import make_valid_case, scanned_corollary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,6 @@ from rosenthal import (
     t3_bound,
     theorem_bound,
 )
-from rosenthal.bounds import _best_beta_corollary
 from rosenthal.cli import build_parser
 from rosenthal.core import _ratio_scalar, pow00, required_exponents, smoothness_value
 
@@ -57,13 +56,9 @@ class TestTheoremBound:
         assert theorem_bound(prof, env, 1.0).value == pytest.approx(5.0, rel=1e-14)
 
     def test_small_t_gated(self):
-        prof = MomentProfile(1, 1.5, {2.0: [1.0]})
-        env = VarianceEnvelope([1.0])
-        with pytest.raises(DomainError):
-            theorem_bound(prof, env, 1.0)
-        rep = theorem_bound(prof, env, 1.0, allow_small_t=True)
-        # m = 0 leaves only (A_n(2))^(t/2)
-        assert rep.value == pytest.approx(1.0)
+        # The layered bound needs t >= 2, and so does every moment profile.
+        with pytest.raises(DomainError, match="needs t >= 2, got t=1.5"):
+            MomentProfile(1, 1.5, {2.0: [1.0]})
 
     def test_boundary_t2_is_sharp_for_tight_envelope(self):
         # at t = 2 with default weights the bound is (A_n(2) + B_n^2) / 2,
@@ -282,7 +277,7 @@ class TestBestBound:
         rng = np.random.default_rng(10)
         for t in (3.5, 6.5, 11.0):
             prof, env = make_valid_case(rng, t=t, n=9)
-            scanned = _best_beta_corollary(t, 2.0, prof.total(t), env.total())
+            scanned = scanned_corollary(t, 2.0, prof.total(t), env.total())
             beta = scanned.parameters["schedule"]["beta"]
             plain = corollary_bound(prof, env, 2.0, PQSchedule.beta_family(beta))
             assert scanned.to_dict() == plain.to_dict()
@@ -471,7 +466,7 @@ def ref_best(prof, env, D, pin94=None):
     A_t, B = prof.total(t), env.total()
     candidates = [theorem_bound(prof, env, D), corollary_bound(prof, env, D)]
     if t > 3.0:
-        candidates.append(_best_beta_corollary(t, D, A_t, B))
+        candidates.append(scanned_corollary(t, D, A_t, B))
     # The public closed forms, which test_public_forms_match_reference checks
     # against the float ref_closed_* formulas: a float reference can land an
     # ulp off an exact tie that best_bound breaks by BOUND_METHODS order.

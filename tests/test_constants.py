@@ -3,7 +3,7 @@ import math
 import decimal_oracle as oracle
 import numpy as np
 import pytest
-from conftest import make_valid_case
+from conftest import make_valid_case, scanned_corollary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,16 @@ from rosenthal import (
     theorem_bound,
 )
 from rosenthal import constants, core
-from rosenthal.bounds import BETA_GRID, _best_beta_corollary, pin94_bound
+from rosenthal.bounds import (
+    BETA_GRID,
+    Pin94Config,
+    closed_form_2_3,
+    closed_form_3_4,
+    closed_form_min,
+    hilbert_2_4,
+    pin94_bound,
+    t3_bound,
+)
 from rosenthal.checks import LpSpace, check_norm_power_increment
 from rosenthal.concentration import (
     LipschitzMomentData,
@@ -31,7 +40,16 @@ from rosenthal.concentration import (
     sum_norm_bound,
 )
 from rosenthal.constants import MAX_T, _layer_logs
-from rosenthal.core import MomentProfile, VarianceEnvelope, half_layers, required_exponents
+from rosenthal.core import (
+    MomentProfile,
+    RosenthalError,
+    SmoothnessConstant,
+    VarianceEnvelope,
+    half_layers,
+    required_exponents,
+    smoothness_value,
+)
+from rosenthal.gaussian import abs_moment_normal
 from rosenthal.models import make_model
 from rosenthal.optimize import grid_then_golden_minimize
 from rosenthal.schedules import pq_eval
@@ -58,7 +76,9 @@ class TestLayerConstants:
         assert c_tilde(3.0, 1.0) == pytest.approx(3.0, rel=1e-15)
 
     def test_c_tilde_empty_product(self):
-        assert c_tilde(1.5, 7.0) == 1.0
+        # c~_m is a product over m = floor(t/2) >= 1 layers: t >= 2.
+        with pytest.raises(DomainError, match="need t >= 2, got t=1.5"):
+            c_tilde(1.5, 7.0)
 
     def test_c_tilde_at_four(self):
         # layers j=0: 4*3*p(4)/2 with p(4)=2, j=1: 2*1*p(2)/2 with p(2)=1/2
@@ -347,7 +367,7 @@ class TestConstantsParity:
             lambda b: ref_corollary(t, D, PQSchedule.beta_family(b), A_t, B)[0],
             BETA_GRID, tol=1e-10,
         )
-        scanned = _best_beta_corollary(t, D, A_t, B)
+        scanned = scanned_corollary(t, D, A_t, B)
         # Values that differ by rounding may steer golden section to another
         # beta on the flat bottom; the minimum value is what must agree.
         assert close(scanned.value, value)
@@ -384,6 +404,37 @@ _EXPONENT_CALLS = {
 }
 
 
+# Each entry point that takes a scalar, called with x in one scalar and
+# otherwise valid arguments.
+_SCALAR_CALLS = {
+    "closed_form_2_3 A_t": lambda x: closed_form_2_3(3.0, 1.0, x, 1.0),
+    "closed_form_3_4 B": lambda x: closed_form_3_4(3.5, 1.0, 1.0, x, 0.5),
+    "closed_form_min A_t": lambda x: closed_form_min(3.5, 1.0, x, 1.0),
+    "hilbert_2_4 B": lambda x: hilbert_2_4(3.5, 1.0, x),
+    "t3_bound A_3": lambda x: t3_bound(1.0, x, 1.0),
+    "pin94_bound A_t": lambda x: pin94_bound(3.0, 1.0, x, 1.0),
+    "pin94_bound B": lambda x: pin94_bound(3.0, 1.0, 1.0, x),
+    "Pin94Config K": lambda x: Pin94Config(K=x),
+    "pin94_bound c": lambda x: pin94_bound(3.0, 1.0, 1.0, 1.0, Pin94Config(c=x)),
+    "sum_norm_bound moments_t": lambda x: sum_norm_bound(3.0, x, 1.0),
+    "sum_norm_bound moments_2": lambda x: sum_norm_bound(3.0, 1.0, x),
+    "optimize_lambdas A_t": lambda x: optimize_lambdas(5.0, 1.0, None, x, 1.0),
+    "optimize_lambdas B": lambda x: optimize_lambdas(5.0, 1.0, None, 1.0, x),
+    "compute_constants lambda": lambda x: compute_constants(5.0, 1.0, None, [1.0, x]),
+    "abs_moment_normal": lambda x: abs_moment_normal(x),
+    "smoothness_value": lambda x: smoothness_value(x),
+    "SmoothnessConstant": lambda x: SmoothnessConstant(x),
+    "MomentProfile n": lambda x: MomentProfile(x, 3.0, {3.0: [], 2.0: []}),
+    "MomentProfile exponent": lambda x: MomentProfile(1, 3.0, {3.0: [1.0], 2.0: [1.0], x: [1.0]}),
+    "custom table p": lambda x: PQSchedule.custom({3.0: (x, 1.0)}),
+    "custom table q": lambda x: PQSchedule.custom({2.0: (1.0, x)}),
+    "custom table key": lambda x: PQSchedule.custom({x: (1.0, 1.0)}),
+    "LpSpace p": lambda x: LpSpace(x, 2),
+    "model scale": lambda x: make_model("rademacher", 3, x),
+    "recentering_ratio b": lambda x: recentering_ratio(3.0, x),
+}
+
+
 class TestConstantsErrors:
     def test_exponent_above_max_t(self):
         # One check in core owns the domain: every entry point raises a
@@ -396,16 +447,26 @@ class TestConstantsErrors:
             for t in (MAX_T + 0.5, 1e308):
                 with pytest.raises(want, match="exceeds the supported maximum"):
                     call(t)
-            for t in (math.nan, math.inf, 10**400):
+            for t in (math.nan, math.inf, 10**400, -(10**400)):
                 with pytest.raises(want, match="must be finite"):
                     call(t)
-            for t in (-1.0, -(10**400)):  # below 0, or below 2 where t >= 2 is needed
-                with pytest.raises(want):
+            for t in (-1.0, 0.0, 1.5):  # the domain starts at t = 2 for every entry point
+                with pytest.raises(want, match=r"t >=? 2, got t="):
                     call(t)
 
+    @pytest.mark.parametrize("x", [10**400, math.nan], ids=["beyond float range", "nan"])
+    def test_scalar_inputs(self, x):
+        # One helper in core converts and checks every scalar input: an
+        # integer beyond the float range or a NaN is a RosenthalError that
+        # names the input, never an OverflowError or a value.
+        for name, call in _SCALAR_CALLS.items():
+            with pytest.raises(RosenthalError):
+                call(x)
+                pytest.fail(f"{name} accepted {x}")
+
     def test_corollary_below_two_is_a_domain_error(self):
-        prof = MomentProfile(1, 1.5, {2.0: [1.0]})
-        with pytest.raises(DomainError, match="needs t > 2, got t=1.5"):
+        prof = MomentProfile(1, 2.0, {2.0: [1.0]})
+        with pytest.raises(DomainError, match="needs t > 2, got t=2.0"):
             corollary_bound(prof, VarianceEnvelope([1.0]), 1.0)
 
     @pytest.mark.parametrize("j", [-1, 3, 0.5, 1.5])

@@ -118,7 +118,8 @@ class TestValidation:
     def test_required_exponents_even_t(self):
         assert required_exponents(4.0) == (4.0, 2.0)
         assert required_exponents(5.0) == (5.0, 3.0, 2.0)
-        assert required_exponents(1.5) == (2.0,)
+        with pytest.raises(DomainError, match="need t >= 2, got t=1.5"):
+            required_exponents(1.5)
 
     def test_nonpositive_envelope(self):
         with pytest.raises(ValidationError):
@@ -289,8 +290,9 @@ class TestMomentRatio:
         assert _ratio_scalar(5.0, 1.0, 0.0) is None
 
     def test_none_when_t_unstored(self):
-        p = MomentProfile(1, 1.0, {2.0: [1.0]})
-        assert moment_ratio(p, VarianceEnvelope([1.0])) is None
+        # Every profile stores its own t >= 2, so t is never unstored.
+        with pytest.raises(DomainError, match="needs t >= 2, got t=1.0"):
+            MomentProfile(1, 1.0, {2.0: [1.0]})
 
 
 def test_pow00_convention():
@@ -302,6 +304,6 @@ def test_pow00_convention():
 
 def test_half_layer_edges():
     assert required_exponents(2.0) == (2.0,)
-    assert required_exponents(0.0) == (2.0,)
-    with pytest.raises(DomainError):
-        required_exponents(-1.0)
+    for t in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            required_exponents(t)

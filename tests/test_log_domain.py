@@ -10,7 +10,7 @@ import decimal_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import make_valid_case
+from conftest import make_valid_case, scanned_corollary
 from hypothesis import strategies as st
 
 from rosenthal import (
@@ -39,7 +39,7 @@ from rosenthal import (
     t3_bound,
     theorem_bound,
 )
-from rosenthal.bounds import BETA_GRID, _aggregated, _best_beta_corollary
+from rosenthal.bounds import BETA_GRID, _aggregated
 from rosenthal.constants import (
     MAX_T,
     _log_balanced_beta_terms,
@@ -328,7 +328,7 @@ class TestScanParity:
             D = 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 10.0))
             prof, env = make_valid_case(rng, t=t, max_n=6)
             A_t, B = prof.total(t), env.total()
-            scanned = _best_beta_corollary(t, D, A_t, B)
+            scanned = scanned_corollary(t, D, A_t, B)
             assert scanned.value <= ref_scan(t, D, A_t, B).value * (1.0 + REL)
             beta = scanned.parameters["schedule"]["beta"]
             assert BETA_GRID[0] <= beta <= BETA_GRID[-1]
@@ -392,7 +392,7 @@ class TestBetaNewton:
             t, D, A_t, B = scan_case(rng)
             log_A, log_Bt = _log(A_t), t * _log(B)
             closure = ref_log_value_in_beta(t, D, log_A, log_Bt)
-            beta = _best_beta_corollary(t, D, A_t, B).parameters["schedule"]["beta"]
+            beta = scanned_corollary(t, D, A_t, B).parameters["schedule"]["beta"]
             value = closure(beta)
             if beta in (BETA_GRID[0], BETA_GRID[-1]):
                 terms = _log_balanced_beta_terms(t, D, log_A, log_Bt)
@@ -409,7 +409,7 @@ class TestBetaNewton:
         # At m = 1 with A_t = 0 the value is C_B B^t, increasing in beta; with
         # A_t >> B^t the layer-0 term, decreasing in beta, dominates.
         t, B = 3.5, 1.3
-        report = _best_beta_corollary(t, 1.0, A_t, B)
+        report = scanned_corollary(t, 1.0, A_t, B)
         assert report.parameters["schedule"]["beta"] == BETA_GRID[end]
         assert report.to_dict() == ref_scan(t, 1.0, A_t, B).to_dict()
         terms = _log_balanced_beta_terms(t, 1.0, _log(A_t), t * math.log(B))
@@ -420,11 +420,11 @@ class TestBetaNewton:
     def test_degenerate_totals(self, t):
         # A_t = 0 still scans; where A_t or B is +inf every beta gives +inf,
         # and the scan returns the low end, as the grid scan does.
-        scanned = _best_beta_corollary(t, 2.0, 0.0, 1.7)
+        scanned = scanned_corollary(t, 2.0, 0.0, 1.7)
         assert scanned.value <= ref_scan(t, 2.0, 0.0, 1.7).value * (1.0 + REL)
         assert 0.0 < scanned.value < math.inf
         for A_t, B in ((math.inf, 1.7), (1.0, math.inf), (0.0, math.inf)):
-            report = _best_beta_corollary(t, 2.0, A_t, B)
+            report = scanned_corollary(t, 2.0, A_t, B)
             assert report.parameters["schedule"]["beta"] == BETA_GRID[0]
             assert report.value == math.inf
             assert ref_scan(t, 2.0, A_t, B).parameters["schedule"]["beta"] == BETA_GRID[0]
@@ -441,7 +441,7 @@ class TestBetaNewton:
             for _ in range(300):
                 t, D, A_t, B = scan_case(rng)
                 calls.clear()
-                _best_beta_corollary(t, D, A_t, B)
+                scanned_corollary(t, D, A_t, B)
                 assert 1 <= len(calls) <= 20, (t, D, len(calls))
 
 

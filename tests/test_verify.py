@@ -258,6 +258,17 @@ class TestReports:
         b = estimate_and_check(model, 3.0, seed=4, replications=5000)
         assert a.to_dict() == b.to_dict()
 
+    def test_simulation_of_another_model_is_rejected(self):
+        # A scale-100 model checked against a scale-1 simulation would compare
+        # an estimate near 47 with a bound near 6.8e7 and pass; both
+        # directions are errors, as a different seed is.
+        small, large = RademacherModel(10, 1.0), RademacherModel(10, 100.0)
+        for model, simulated in ((large, small), (small, large)):
+            sim = simulate(simulated, seed=3, replications=4096)
+            with pytest.raises(ValidationError, match="is not the simulated model"):
+                check_from_simulation(model, sim, 3.0)
+            assert check_from_simulation(simulated, sim, 3.0).model == simulated.describe()
+
     def test_report_records_the_simulation_seed(self):
         model = RademacherModel(3, 1.0)
         sim = simulate(model, seed=9, replications=500)
