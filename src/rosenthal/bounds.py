@@ -49,7 +49,6 @@ from .core import (
     _log,
     _log_sum,
     _ratio_scalar,
-    half_layers,
     smoothness_value,
 )
 from .optimize import _minimize_log_sum_exp_beta, golden_section_minimize
@@ -112,7 +111,7 @@ def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -
     float range the unit is max b_i instead, and the weights sum to at
     most n."""
     t = profile.t
-    log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
+    log_c, log_top = _log_layers(t, D, schedule, int(t // 2))
     log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
     return _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value)
 
@@ -383,7 +382,7 @@ def best_bound(
     A_t = profile.total(t)
     B = envelope.total()
 
-    m = half_layers(t)
+    m = int(t // 2)
     layers = _layer_logs(t, D, schedule, m)
     log_A, log_Bt = _log(A_t), t * _log(B)
     candidates = []  # (value, method, report builder)

@@ -49,13 +49,13 @@ __all__ = [
 def recentering_ratio(t: float, b) -> float:
     """R(t, b) for t > 2 and b in [0, 1]; vectorized over b."""
     t = _check_t(t, "the re-centering ratio needs", strict=True)
-    if np.ndim(b) == 0:
-        b = _checked_scalar("b", b, None, error=DomainError)
-    else:
-        b = np.asarray(b, dtype=float)
-    if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails both
+    try:
+        barr = np.asarray(b, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError("b must lie in [0, 1]") from None
+    if not np.all((barr >= 0.0) & (barr <= 1.0)):  # NaN fails both
         raise DomainError("b must lie in [0, 1]")
-    return _ratio(t, b)
+    return _ratio(t, float(barr) if barr.ndim == 0 else barr)
 
 
 def _ratio(t: float, b):
@@ -74,7 +74,11 @@ def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
     interior maximum, so golden-section search on the whole interval finds
     it; near t = 2 the top is flat, and b_t is only as sharp as R allows.
     """
-    _check_t(t, "the re-centering constant needs", strict=True)
+    return _find_bt(_check_t(t, "the re-centering constant needs", strict=True), tol)
+
+
+def _find_bt(t: float, tol: float = 1e-10) -> tuple[float, float]:
+    """:func:`find_bt` at an already checked float t."""
     b_opt, neg = golden_section_minimize(lambda x: -_ratio(t, x), 0.0, 0.5, tol=tol)
     return float(b_opt), float(-neg)
 
@@ -137,5 +141,5 @@ def sum_norm_bound(
     schedule = schedule or default_schedule()
     log_A, log_Bt = _log(moments_t), t / 2.0 * _log(moments_2)
     *_, log_ca, log_cb = _aggregate(t, 1.0, schedule, log_A, log_Bt, lambdas)
-    _, c_t = find_bt(t)
+    _, c_t = _find_bt(t)
     return _exp(_log_sum([math.log(c_t) + log_ca + log_A, log_cb + log_Bt]))

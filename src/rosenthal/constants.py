@@ -53,7 +53,6 @@ from .core import (
     _exp,
     _log,
     _log_sum,
-    half_layers,
     smoothness_value,
 )
 from .schedules import PQSchedule, default_schedule, pq_eval
@@ -117,7 +116,7 @@ def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
     """The j-th layer constant c_j(t), for 0 <= j <= m-1 (t >= 2)."""
     t = _check_t(t, "the layer constants need")
     D = smoothness_value(D)
-    m = half_layers(t)
+    m = int(t // 2)
     if int(j) != j or not 0 <= j <= m - 1:
         raise DomainError(f"layer index j must lie in 0..{m - 1}, got {j}")
     return _exp(_log_layers(t, D, schedule or default_schedule(), int(j) + 1)[0][-1])
@@ -127,7 +126,7 @@ def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:
     """The top-layer constant c~_m(t), m = floor(t/2) >= 1 (t >= 2)."""
     t = _check_t(t, "the layer constants need")
     D = smoothness_value(D)
-    return _exp(_log_layers(t, D, schedule or default_schedule(), half_layers(t))[1])
+    return _exp(_log_layers(t, D, schedule or default_schedule(), int(t // 2))[1])
 
 
 def _log_top_norm(t: float, m: int) -> float:
@@ -166,7 +165,7 @@ def _log_balanced_beta_terms(t: float, D: float, log_A: float, log_Bt: float, la
     from :func:`_layer_logs`, so the value is convex in the logit of beta.
     ``layers``, where given, is :func:`_layer_logs` of any beta-family
     schedule at (t, D), which does not depend on its beta."""
-    m = half_layers(t)
+    m = int(t // 2)
     if layers is None:
         layers = _layer_logs(t, D, default_schedule(), m)
     log_c, log_top = [k for k, _, _ in layers[:-1]], layers[-1][0]
@@ -213,7 +212,7 @@ def _aggregate(
     A_t, B >= 0."""
     if isinstance(lambdas, str) and lambdas != "optimize":
         raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-    log_c, log_top = _log_layers(t, D, schedule, half_layers(t))
+    log_c, log_top = _log_layers(t, D, schedule, int(t // 2))
     return log_c, log_top, *_balance(t, log_c, log_top, log_A, log_Bt, lambdas)
 
 

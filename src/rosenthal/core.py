@@ -79,7 +79,7 @@ def _check_t(t, need: str, *, strict: bool = False) -> float:
 def half_layers(t: float) -> int:
     """Number of full second-moment layers ``m = floor(t / 2)``, for
     2 <= t <= MAX_T."""
-    return int(math.floor(_check_t(t, "the layers need") / 2.0))
+    return int(_check_t(t, "the layers need") // 2)
 
 
 def required_exponents(t: float) -> tuple[float, ...]:
@@ -89,15 +89,15 @@ def required_exponents(t: float) -> tuple[float, ...]:
     ``m = floor(t/2) >= 1``, so t itself is always one of them.  Duplicates
     (exactly even ``t``) are removed.
     """
-    m = half_layers(t)
-    out: list[float] = []
-    seen: set[str] = set()
-    for s in [t - 2.0 * j for j in range(m)] + [2.0]:
-        key = exponent_key(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return tuple(out)
+    return _required(_check_t(t, "the layers need"))
+
+
+def _required(t: float) -> tuple[float, ...]:
+    """:func:`required_exponents` of an already checked float t."""
+    out: dict[str, float] = {}
+    for s in [t - 2.0 * j for j in range(int(t // 2))] + [2.0]:
+        out.setdefault(exponent_key(s), s)  # the first of equal keys
+    return tuple(out.values())
 
 
 def pow00(x, e: float):
@@ -144,14 +144,14 @@ def _entries_ok(a: np.ndarray, positive: bool = False) -> bool:
 
 
 def _checked_scalar(
-    name: str, x, lo: float | None = 0.0, *, strict: bool = False, integer: bool = False,
+    name: str, x, lo: float | None = 0.0, *, strict: bool = False,
     error: type[RosenthalError] = ValidationError,
 ) -> float:
     """The one form of a scalar input: ``x`` as a float when it is a
     finite number >= ``lo`` (> ``lo`` with ``strict``, any finite number
-    with ``lo=None``, a nonnegative integer with ``integer``), else an
-    ``error`` that names the input and the rule.  An integer beyond the
-    float range is not finite, and a string is not a number."""
+    with ``lo=None``), else an ``error`` that names the input and the
+    rule.  An integer beyond the float range is not finite, and a string
+    is not a number."""
     try:
         if isinstance(x, (str, bytes)):
             raise TypeError
@@ -160,16 +160,8 @@ def _checked_scalar(
         v = math.inf if x > 0 else -math.inf
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {x!r}") from None
-    if integer:
-        ok = v >= 0.0 and v.is_integer()
-    else:
-        ok = math.isfinite(v) and (lo is None or (v > lo if strict else v >= lo))
-    if not ok:
-        rule = (
-            "a nonnegative integer" if integer
-            else "finite" if lo is None
-            else f"finite and {'>' if strict else '>='} {lo:g}"
-        )
+    if not (math.isfinite(v) and (lo is None or (v > lo if strict else v >= lo))):
+        rule = "finite" if lo is None else f"finite and {'>' if strict else '>='} {lo:g}"
         raise error(f"{name} must be {rule}, got {v}")
     return v
 
@@ -221,7 +213,13 @@ class MomentProfile:
         *,
         exact: bool = False,
     ) -> None:
-        n = int(_checked_scalar("n", n, integer=True))
+        try:
+            whole = _checked_scalar("n", n).is_integer()
+        except ValidationError:
+            whole = False
+        if not whole:
+            raise ValidationError(f"n must be a nonnegative integer, got {n}")
+        n = int(n)
         t = _check_t(t, "a moment profile needs")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
@@ -241,7 +239,7 @@ class MomentProfile:
         object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "_exponents", exps)
 
-        missing = [s for s in required_exponents(t) if exponent_key(s) not in arrays]
+        missing = [s for s in _required(t) if exponent_key(s) not in arrays]
         if missing:
             raise ValidationError(
                 f"profile for t={t} is missing required exponents {missing}"

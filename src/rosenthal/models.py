@@ -43,7 +43,6 @@ from .core import (
     ValidationError,
     VarianceEnvelope,
     _checked_array,
-    _checked_scalar,
     required_exponents,
 )
 from .rng import block_generator, iter_blocks, worker_count
@@ -73,7 +72,7 @@ _TILE_ELEMS = 65536
 
 def _as_scale(scale, n: int) -> np.ndarray:
     if np.ndim(scale) == 0:
-        scale = np.full(n, _checked_scalar("scale", scale, 0.0, strict=True))
+        scale = [scale] * n
     arr = _checked_array("scale", scale, positive=True)
     if arr.shape != (n,):
         raise ValidationError(f"scale must be a scalar or length-{n} sequence")

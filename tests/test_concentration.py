@@ -44,6 +44,8 @@ class TestRecenteringRatio:
             recentering_ratio(3.0, float("nan"))
         with pytest.raises(DomainError):
             recentering_ratio(3.0, [0.2, float("nan")])
+        with pytest.raises(DomainError, match=r"b must lie in \[0, 1\]"):
+            recentering_ratio(3.0, [0.2, 10**400])
 
 
 class TestFindBt:

@@ -21,7 +21,7 @@ from rosenthal import (
     optimize_lambdas,
     theorem_bound,
 )
-from rosenthal import constants, core
+from rosenthal import bounds, checks, concentration, constants, core, verify
 from rosenthal.bounds import (
     BETA_GRID,
     Pin94Config,
@@ -453,6 +453,36 @@ class TestConstantsErrors:
             for t in (-1.0, 0.0, 1.5):  # the domain starts at t = 2 for every entry point
                 with pytest.raises(want, match=r"t >=? 2, got t="):
                     call(t)
+
+    def test_one_exponent_check_per_entry_point(self, monkeypatch):
+        # Internal code takes the checked float on, so each entry point
+        # checks its t once; a bound on a profile checks only the t > 2 its
+        # profile does not guarantee.  The composites count the checks of
+        # the entry points they call: exact_profile is required_exponents
+        # and MomentProfile; estimate_and_check checks before it simulates,
+        # then check_from_simulation, exact_profile and corollary_bound.
+        calls = []
+
+        def counted(t, need, *, strict=False):
+            calls.append(t)
+            return check(t, need, strict=strict)
+
+        check = core._check_t
+        for mod in (core, constants, bounds, concentration, checks, verify):
+            monkeypatch.setattr(mod, "_check_t", counted)
+        prof, env = make_valid_case(np.random.default_rng(5), t=6.5, n=4)
+        composite = {"exact_profile": 2, "estimate_and_check": 5}
+        for name, call in _EXPONENT_CALLS.items():
+            calls.clear()
+            try:
+                call(MAX_T)  # the arguments of C_A and C_B fit t = MAX_T
+            except ValidationError:  # MomentProfile's grid, after its check
+                assert name == "MomentProfile"
+            assert len(calls) == composite.get(name, 1), name
+        for call, want in ((theorem_bound, 0), (corollary_bound, 1), (best_bound, 1)):
+            calls.clear()
+            call(prof, env, 1.5)
+            assert len(calls) == want, call.__name__
 
     @pytest.mark.parametrize("x", [10**400, math.nan], ids=["beyond float range", "nan"])
     def test_scalar_inputs(self, x):
