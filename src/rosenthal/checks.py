@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _check_t, _checked_array, _checked_scalar, pow00
+from .core import (
+    DomainError, ValidationError, _check_t, _checked_array, _checked_int, _checked_scalar, pow00,
+)
 from .schedules import PQSchedule, default_schedule, pq_eval
 
 __all__ = [
@@ -58,8 +60,7 @@ class LpSpace:
     def __post_init__(self) -> None:
         if _checked_scalar("l_p exponent", self.p, None) < 2.0:
             raise ValidationError(f"l_p exponent must satisfy p >= 2, got {self.p}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValidationError(f"dimension must be an integer >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _checked_int("dimension", self.dim, 1))
 
     @property
     def smoothness(self) -> float:
@@ -158,8 +159,7 @@ def check_riemann_sum(b, s: float, *, rtol: float = 1e-12) -> bool:
     s >= 0 (B_0^0 = 1 by the 0^0 convention).  The comparison allows a
     small relative slack for exact-equality cases in floating point.
     """
-    if s < 0.0:
-        raise DomainError(f"the Riemann-sum lemma needs s >= 0, got s={s}")
+    s = _checked_scalar("exponent s", s, error=DomainError)
     b = _checked_array("b", b, positive=True)
     if b.size == 0:
         raise ValidationError("b must be a nonempty sequence of positive reals")
@@ -175,9 +175,11 @@ def check_young(x: float, y: float, p: float, q: float, *, rtol: float = 1e-12) 
 
     Requires x, y >= 0 and conjugate weights p, q > 0 with 1/p + 1/q = 1.
     """
-    if x < 0.0 or y < 0.0:
-        raise DomainError("Young's inequality needs x, y >= 0")
-    if p <= 0.0 or q <= 0.0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+    x = _checked_scalar("x", x, error=DomainError)
+    y = _checked_scalar("y", y, error=DomainError)
+    p = _checked_scalar("weight p", p, 0.0, strict=True, error=DomainError)
+    q = _checked_scalar("weight q", q, 0.0, strict=True, error=DomainError)
+    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise DomainError(f"weights p={p}, q={q} are not conjugate")
     lhs = x ** (1.0 / p) * y ** (1.0 / q)
     rhs = x / p + y / q

@@ -49,6 +49,7 @@ from .core import (
     ValidationError,
     _check_t,
     _checked_array,
+    _checked_int,
     _checked_scalar,
     _exp,
     _log,
@@ -117,9 +118,10 @@ def c_j(t: float, D, schedule: PQSchedule | None, j: int) -> float:
     t = _check_t(t, "the layer constants need")
     D = smoothness_value(D)
     m = int(t // 2)
-    if int(j) != j or not 0 <= j <= m - 1:
+    j = _checked_int("layer index j", j, 0, error=DomainError)
+    if j > m - 1:
         raise DomainError(f"layer index j must lie in 0..{m - 1}, got {j}")
-    return _exp(_log_layers(t, D, schedule or default_schedule(), int(j) + 1)[0][-1])
+    return _exp(_log_layers(t, D, schedule or default_schedule(), j + 1)[0][-1])
 
 
 def c_tilde(t: float, D, schedule: PQSchedule | None = None) -> float:

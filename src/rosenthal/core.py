@@ -67,7 +67,10 @@ def _check_t(t, need: str, *, strict: bool = False) -> float:
     """The one check of an exponent t: t as a float when it is finite,
     >= 2 (> 2 with ``strict``) and <= MAX_T, else a :class:`DomainError`.
     ``need`` names the operation in the message for t below 2
-    ("verification needs t >= 2, got t=1.5")."""
+    ("verification needs t >= 2, got t=1.5").  Its siblings check the
+    other inputs: :func:`_checked_scalar` a real number,
+    :func:`_checked_int` a whole number, :func:`_checked_array` a
+    per-index sequence."""
     t = _checked_scalar("exponent t", t, None, error=DomainError)
     if t <= 2.0 if strict else t < 2.0:
         raise DomainError(f"{need} t {'>' if strict else '>='} 2, got t={t}")
@@ -166,6 +169,20 @@ def _checked_scalar(
     return v
 
 
+def _checked_int(
+    name: str, x, lo: int, *, error: type[RosenthalError] = ValidationError
+) -> int:
+    """The one form of a whole-number input (a count, index, dimension or
+    seed): ``x`` as an int when it is a whole number >= ``lo``, else an
+    ``error`` that names the input.  NaN, infinity and an integer beyond
+    the float range fail :func:`_checked_scalar` first; an int keeps its
+    exact value and is never rounded through float."""
+    v = _checked_scalar(name, x, None, error=error)
+    if not (v.is_integer() and v >= lo):
+        raise error(f"{name} must be an integer >= {lo}, got {x}")
+    return int(x) if isinstance(x, (int, np.integer)) else int(v)
+
+
 def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
     """The one form of a per-index input: a read-only 1-d float64 copy of
     ``values`` whose entries are finite and >= 0 (> 0 with ``positive``),
@@ -213,13 +230,7 @@ class MomentProfile:
         *,
         exact: bool = False,
     ) -> None:
-        try:
-            whole = _checked_scalar("n", n).is_integer()
-        except ValidationError:
-            whole = False
-        if not whole:
-            raise ValidationError(f"n must be a nonnegative integer, got {n}")
-        n = int(n)
+        n = _checked_int("n", n, 0)
         t = _check_t(t, "a moment profile needs")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
@@ -292,11 +303,12 @@ class MomentProfile:
 
     def partial_sum(self, k: int, s: float) -> float:
         """A_k(s), the sum of the first k per-increment moments at s."""
-        if int(k) != k or not 0 <= k <= self.n:
+        k = _checked_int("index k", k, 0, error=DomainError)
+        if k > self.n:
             raise DomainError(f"index k must lie in 0..{self.n}, got {k}")
         a = self.moment_array(s)
         with np.errstate(over="ignore"):  # a sum beyond the float range is +inf
-            return float(np.sum(a[: int(k)]))
+            return float(np.sum(a[:k]))
 
     def total(self, s: float) -> float:
         """A_n(s)."""

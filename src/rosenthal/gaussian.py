@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, _checked_scalar, _exp
+from .core import DomainError, _checked_int, _checked_scalar, _exp
 
 __all__ = ["abs_moment_normal", "RatioCurvePoint", "ratio_curve"]
 
@@ -49,9 +49,7 @@ def ratio_curve(t_min: float, t_max: float, steps: int) -> list[RatioCurvePoint]
         raise DomainError(
             f"need 2 <= t_min < t_max <= 4, got t_min={t_min}, t_max={t_max}"
         )
-    if int(steps) != steps or steps < 2:
-        raise DomainError(f"steps must be an integer >= 2, got {steps}")
-    steps = int(steps)
+    steps = _checked_int("steps", steps, 2, error=DomainError)
     out = []
     for i in range(steps):
         t = t_min + (t_max - t_min) * i / (steps - 1)

@@ -20,11 +20,8 @@ stream in row tiles of the same size, so it too is O(tile) on top of it.
 
 The sphere models (``hilbert``, ``lp``) form the step sum
 S = sum_i b_i G_i / ||G_i|| as one ``einsum`` of the drawn tile against the
-(rows, n) factors b_i / ||G_i||, without writing to the tile.  This form
-replaced dividing and scaling the whole tile and then summing over its
-steps; their outputs moved by rounding only (the final norms stay within
-1e-13 * sum_i b_i of the old form on the same draws), and they stay bitwise
-identical across thread counts and tile sizes.
+(rows, n) factors b_i / ||G_i||, without writing to the tile; their outputs
+stay bitwise identical across thread counts and tile sizes.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from .core import (
     ValidationError,
     VarianceEnvelope,
     _checked_array,
+    _checked_int,
     required_exponents,
 )
 from .rng import block_generator, iter_blocks, worker_count
@@ -89,9 +87,7 @@ class MartingaleModel(ABC):
     _dim: int = 1
 
     def __init__(self, n: int, scale=1.0) -> None:
-        if int(n) != n or n < 1:
-            raise ValidationError(f"step count n must be an integer >= 1, got {n}")
-        self.n = int(n)
+        self.n = _checked_int("step count n", n, 1)
         self.scale = _as_scale(scale, self.n)
 
     @property
@@ -255,7 +251,7 @@ class HilbertModel(_SphereModel):
     def __init__(self, n: int, scale=1.0, dim: int = 3) -> None:
         super().__init__(n, scale)
         self.space = HilbertSpace(dim)
-        self.dim = int(dim)
+        self.dim = self.space.dim
 
     def describe(self) -> dict:
         return {**super().describe(), "dim": self.dim}
@@ -273,7 +269,7 @@ class LpModel(_SphereModel):
         super().__init__(n, scale)
         self.space = LpSpace(p, dim)
         self.p = float(p)
-        self.dim = int(dim)
+        self.dim = self.space.dim
 
     def describe(self) -> dict:
         return {**super().describe(), "p": self.p, "dim": self.dim}
@@ -388,11 +384,7 @@ def simulate(
     """Draw the norm stream of a model (the moment stream follows on
     demand); deterministic in (model, seed, replications) regardless of
     worker count."""
-    if int(replications) != replications or replications < 1:
-        raise ValidationError(
-            f"replications must be an integer >= 1, got {replications}"
-        )
-    replications = int(replications)
+    replications = _checked_int("replications", replications, 1)
     nthreads = worker_count(threads)
     snorm, finals = _run_stream(
         model, seed, NORM_STREAM, replications, nthreads, keep_final

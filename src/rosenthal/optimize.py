@@ -20,6 +20,8 @@ __all__ = ["golden_section_minimize", "grid_then_golden_minimize"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+# Most bracket shrinks in golden_section_minimize: 0.618^200 ~ 2e-42.
+_MAX_ITER = 200
 
 
 def golden_section_minimize(
@@ -28,7 +30,6 @@ def golden_section_minimize(
     hi: float,
     *,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [lo, hi].
 
@@ -46,7 +47,7 @@ def golden_section_minimize(
     d = a + _INV_PHI * dist
     yc, yd = f(c), f(d)
     it = 0
-    while dist > tol and it < max_iter:
+    while dist > tol and it < _MAX_ITER:
         if yc < yd:
             b, d, yd = d, c, yc
             dist *= _INV_PHI

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _checked_int
 
 __all__ = [
     "BLOCK_SIZE",
@@ -32,9 +32,8 @@ _DEFAULT_MAX_WORKERS = 4
 
 def stream_key(seed: int, label: str, block: int) -> np.ndarray:
     """128-bit Philox key derived from (seed, stream label, block index)."""
-    if int(seed) != seed or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    digest = hashlib.sha256(f"{int(seed)}:{label}:{int(block)}".encode()).digest()
+    seed = _checked_int("seed", seed, 0)
+    digest = hashlib.sha256(f"{seed}:{label}:{int(block)}".encode()).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64)
 
 
@@ -66,7 +65,4 @@ def worker_count(threads: int | None = None) -> int:
                 ) from None
         else:
             threads = min(_DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
-    threads = int(threads)
-    if threads < 1:
-        raise ValidationError(f"worker count must be >= 1, got {threads}")
-    return threads
+    return _checked_int("worker count", threads, 1)

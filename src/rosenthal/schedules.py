@@ -41,8 +41,9 @@ def validate_pq(p: float, q: float, s: float, *, rtol: float = _PQ_RTOL) -> bool
     factor 1/(s-3); the slack grows with that conditioning so the predicate
     stays meaningful arbitrarily close to s = 3.
     """
-    if s < 2.0:
-        raise DomainError(f"weights are only constrained for s >= 2, got s={s}")
+    s = _checked_scalar("exponent s", s, 2.0, error=DomainError)
+    p = _checked_scalar("weight p", p, None, error=DomainError)
+    q = _checked_scalar("weight q", q, None, error=DomainError)
     if s == 2.0:
         return p > 0.0 and q > 0.0 and p + q >= 1.0 - rtol
     if p < 1.0 - rtol or q < 1.0 - rtol:
@@ -110,9 +111,6 @@ class PQSchedule:
     def custom(cls, table: Mapping[float, tuple[float, float]]) -> "PQSchedule":
         return cls(kind="custom", beta=DEFAULT_BETA, table=table)
 
-    def __call__(self, s: float) -> tuple[float, float]:
-        return pq_eval(self, s)
-
     def to_dict(self) -> dict:
         if self.kind == "beta_family":
             return {"kind": "beta_family", "beta": float(self.beta)}
@@ -133,8 +131,7 @@ class PQSchedule:
 
 def pq_eval(schedule: PQSchedule, s: float) -> tuple[float, float]:
     """The weight pair (p(s), q(s)) of a schedule at exponent s >= 2."""
-    if s < 2.0:
-        raise DomainError(f"schedules are defined for s >= 2, got s={s}")
+    s = _checked_scalar("exponent s", s, 2.0, error=DomainError)
     if schedule.kind == "custom":
         try:
             return schedule.table[exponent_key(s)]

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _checked_array
+from .core import DomainError, ValidationError, _checked_array, _checked_int
 
 __all__ = [
     "MinGroupedSumSpec",
@@ -91,11 +91,9 @@ class MinGroupedSumSpec:
                 "need n weights and n+1 prefix values, got "
                 f"{w.shape[0]} and {g.shape[0]}"
             )
-        if int(self.j) != self.j or self.j < 0:
-            raise ValidationError(f"cardinality j must be an integer >= 0, got {self.j}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "prefix_values", g)
-        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "j", _checked_int("cardinality j", self.j, 0))
 
     @property
     def n(self) -> int:
@@ -128,16 +126,15 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
     the reversed cumulative sum of w_k * e_{r-1}(w_{k+1}..).  Entries that
     exceed the float range are +inf, or NaN where a zero weight meets one.
     """
-    if int(order) != order or order < 0:
-        raise ValidationError(f"order must be an integer >= 0, got {order}")
+    order = _checked_int("order", order, 0)
     w = np.asarray(weights, dtype=float)
     # Column-major, so that every order is one contiguous column; the steps
     # run on its rows in reversed order.
-    table = np.zeros((w.shape[0] + 1, int(order) + 1), order="F")
+    table = np.zeros((w.shape[0] + 1, order + 1), order="F")
     table[:, 0] = 1.0
     rev, p = table[::-1], np.empty_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(1, int(order) + 1):
+        for r in range(1, order + 1):
             _suffix_step(w[::-1], rev[:, r - 1] if r > 1 else None, rev[:, r], p)
     return table
 

@@ -166,7 +166,7 @@ class TestBoundCommand:
             (
                 dict(SHARP_CASE, profile=dict(SHARP_CASE["profile"], n=2.7,
                                               moments={"3": [1.0, 1.0], "2": [1.0, 1.0]})),
-                "n must be a nonnegative integer, got 2.7",
+                "n must be an integer >= 0, got 2.7",
             ),
             # An integer beyond the float range (10^400) names its field.
             (dict(SHARP_CASE, envelope={"b": [10**400]}), "envelope b must be finite and > 0"),

@@ -11,14 +11,18 @@ from rosenthal import (
     C_A,
     C_B,
     DomainError,
+    MinGroupedSumSpec,
     PQSchedule,
+    RademacherModel,
     ValidationError,
     best_bound,
     c_j,
     c_tilde,
     compute_constants,
     corollary_bound,
+    elementary_symmetric_suffix,
     optimize_lambdas,
+    simulate,
     theorem_bound,
 )
 from rosenthal import bounds, checks, concentration, constants, core, verify
@@ -32,7 +36,7 @@ from rosenthal.bounds import (
     pin94_bound,
     t3_bound,
 )
-from rosenthal.checks import LpSpace, check_norm_power_increment
+from rosenthal.checks import LpSpace, check_norm_power_increment, check_riemann_sum, check_young
 from rosenthal.concentration import (
     LipschitzMomentData,
     find_bt,
@@ -49,10 +53,11 @@ from rosenthal.core import (
     required_exponents,
     smoothness_value,
 )
-from rosenthal.gaussian import abs_moment_normal
+from rosenthal.gaussian import abs_moment_normal, ratio_curve
 from rosenthal.models import make_model
 from rosenthal.optimize import grid_then_golden_minimize
-from rosenthal.schedules import pq_eval
+from rosenthal.rng import stream_key, worker_count
+from rosenthal.schedules import pq_eval, validate_pq
 from rosenthal.verify import estimate_and_check
 
 
@@ -404,6 +409,32 @@ _EXPONENT_CALLS = {
 }
 
 
+# Each entry point that takes a whole number: the name its errors give, its
+# lower bound, and the call with x in that input and otherwise valid arguments.
+_INTEGER_CALLS = {
+    "MomentProfile n": ("n", 0, lambda x: MomentProfile(x, 3.0, {3.0: [], 2.0: []})),
+    "partial_sum k": (
+        "index k", 0,
+        lambda x: MomentProfile(1, 3.0, {3.0: [1.0], 2.0: [1.0]}).partial_sum(x, 3.0),
+    ),
+    "c_j j": ("layer index j", 0, lambda x: c_j(6.5, 1.0, None, x)),
+    "ratio_curve steps": ("steps", 2, lambda x: ratio_curve(2.0, 4.0, x)),
+    "model n": ("step count n", 1, lambda x: RademacherModel(x)),
+    "simulate replications": ("replications", 1, lambda x: simulate(RademacherModel(2), 0, x)),
+    "simulate seed": ("seed", 0, lambda x: simulate(RademacherModel(2), x, 16)),
+    "simulate threads": (
+        "worker count", 1, lambda x: simulate(RademacherModel(2), 0, 16, threads=x)
+    ),
+    "stream_key seed": ("seed", 0, lambda x: stream_key(x, "norms", 0)),
+    "worker_count": ("worker count", 1, lambda x: worker_count(x)),
+    "MinGroupedSumSpec j": ("cardinality j", 0, lambda x: MinGroupedSumSpec([1.0], [1.0, 1.0], x)),
+    "elementary_symmetric_suffix order": (
+        "order", 0, lambda x: elementary_symmetric_suffix([1.0, 2.0], x)
+    ),
+    "LpSpace dim": ("dimension", 1, lambda x: LpSpace(3.0, x)),
+}
+
+
 # Each entry point that takes a scalar, called with x in one scalar and
 # otherwise valid arguments.
 _SCALAR_CALLS = {
@@ -424,7 +455,6 @@ _SCALAR_CALLS = {
     "abs_moment_normal": lambda x: abs_moment_normal(x),
     "smoothness_value": lambda x: smoothness_value(x),
     "SmoothnessConstant": lambda x: SmoothnessConstant(x),
-    "MomentProfile n": lambda x: MomentProfile(x, 3.0, {3.0: [], 2.0: []}),
     "MomentProfile exponent": lambda x: MomentProfile(1, 3.0, {3.0: [1.0], 2.0: [1.0], x: [1.0]}),
     "custom table p": lambda x: PQSchedule.custom({3.0: (x, 1.0)}),
     "custom table q": lambda x: PQSchedule.custom({2.0: (1.0, x)}),
@@ -432,6 +462,16 @@ _SCALAR_CALLS = {
     "LpSpace p": lambda x: LpSpace(x, 2),
     "model scale": lambda x: make_model("rademacher", 3, x),
     "recentering_ratio b": lambda x: recentering_ratio(3.0, x),
+    "check_riemann_sum s": lambda x: check_riemann_sum([1.0, 2.0], x),
+    "check_young x": lambda x: check_young(x, 1.0, 2.0, 2.0),
+    "check_young y": lambda x: check_young(1.0, x, 2.0, 2.0),
+    "check_young p": lambda x: check_young(1.0, 1.0, x, 2.0),
+    "check_young q": lambda x: check_young(1.0, 1.0, 2.0, x),
+    "validate_pq s": lambda x: validate_pq(1.0, 1.0, x),
+    "validate_pq p": lambda x: validate_pq(x, 1.0, 2.5),
+    "validate_pq q": lambda x: validate_pq(1.0, x, 2.5),
+    "pq_eval s": lambda x: pq_eval(PQSchedule.beta_family(0.5), x),
+    **{name: call for name, (_, _, call) in _INTEGER_CALLS.items()},
 }
 
 
@@ -493,6 +533,20 @@ class TestConstantsErrors:
             with pytest.raises(RosenthalError):
                 call(x)
                 pytest.fail(f"{name} accepted {x}")
+
+    @pytest.mark.parametrize("name", list(_INTEGER_CALLS))
+    def test_integer_inputs(self, name):
+        # One helper in core checks every whole-number input: a fraction, a
+        # value below the lower bound, NaN, infinity or an integer beyond the
+        # float range is a RosenthalError that names the input, never a
+        # truncated value.
+        label, lo, call = _INTEGER_CALLS[name]
+        for x in (2.5, lo - 1):
+            with pytest.raises(RosenthalError, match=f"^{label} must be an integer >= {lo}, got {x}$"):
+                call(x)
+        for x in (math.nan, math.inf, 10**400):
+            with pytest.raises(RosenthalError, match=f"^{label} must be finite, got"):
+                call(x)
 
     def test_corollary_below_two_is_a_domain_error(self):
         prof = MomentProfile(1, 2.0, {2.0: [1.0]})

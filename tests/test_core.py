@@ -218,7 +218,8 @@ class TestExponentKeys:
     def test_from_dict_rejects_non_integer_n(self, n):
         # n is not truncated to 2: the constructor's integer check names it.
         data = {"n": n, "t": 3.0, "moments": {"3": [1.0, 1.0], "2": [1.0, 1.0]}}
-        with pytest.raises(ValidationError, match=f"^n must be a nonnegative integer, got {n}$"):
+        rule = "an integer >= 0" if math.isfinite(n) else "finite"
+        with pytest.raises(ValidationError, match=f"^n must be {rule}, got {n}$"):
             MomentProfile.from_dict(data)
 
 

@@ -18,7 +18,9 @@ from rosenthal import (
 )
 from rosenthal import models
 from rosenthal.models import MODEL_KINDS
-from rosenthal.rng import BLOCK_SIZE, THREADS_ENV_VAR, block_generator, iter_blocks, worker_count
+from rosenthal.rng import (
+    BLOCK_SIZE, THREADS_ENV_VAR, block_generator, iter_blocks, stream_key, worker_count,
+)
 from rosenthal.verify import check_from_simulation
 
 
@@ -172,6 +174,17 @@ class TestDeterminism:
         a = simulate(RademacherModel(5, 1.0), seed=10, replications=1024)
         b = simulate(RademacherModel(5, 1.0), seed=11, replications=1024)
         assert not np.array_equal(a.final_norms, b.final_norms)
+
+    @pytest.mark.parametrize(
+        "seed, key",
+        [(2**64 + 1, "8c2a8386a338b2b4eb6a5066c6e1c055"),
+         (np.uint64(2**64 - 1), "573617275533849b830a89240ba2f8ca")],
+        ids=["int", "uint64"],
+    )
+    def test_seed_above_float_precision_keeps_its_key(self, seed, key):
+        # A seed is hashed by its exact digits, never rounded through a float
+        # (2**64 + 1 and 2**64 are the same float).
+        assert stream_key(seed, "norms", 3).tobytes().hex() == key
 
     def test_prefix_stability(self):
         # more replications extend, never alter, earlier ones
