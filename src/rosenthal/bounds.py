@@ -9,13 +9,20 @@ and ``pin94_bound`` evaluates a classical comparison bound that carries an
 unspecified absolute constant K.  ``best_bound`` scans every applicable
 candidate and returns the smallest.
 
-Each closed form is one row of the private table ``_CLOSED_FORMS``: its
-t-interval, whether ``best_bound`` scans it, and its formula.  t3,
-closed_2_3, closed_3_4 and hilbert_2_4 are the aggregation at one layer,
-so they equal ``corollary_bound`` bit for bit where it has one layer;
-closed_min minimizes that form over its split point.  One evaluator,
-``_closed_form``, makes the checks every form shares, evaluates the form
-in logs and builds the report.
+Each bound form has one private evaluator: ``_layered`` (the theorem),
+``_aggregated`` (the corollary) and ``_closed`` (a row of the table
+``_CLOSED_FORMS``).  Each takes the totals A_n(t) and B_n, the layered
+forms also a schedule's layer logs, and returns the value with a builder
+of its report; the builder closes over the same logs, so a report prints
+the value that was ranked.  The public bounds check their inputs and
+build the report; ``best_bound`` ranks the values and builds only the
+winner's report.
+
+A closed form's row holds its t-interval, whether ``best_bound`` scans it,
+and its formula.  t3, closed_2_3, closed_3_4 and hilbert_2_4 are the
+aggregation at one layer, so they equal ``corollary_bound`` bit for bit
+where it has one layer; closed_min minimizes that form over its split
+point.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .constants import (
-    _aggregate,
     _balance,
     _layer_logs,
     _log_balanced_beta_terms,
@@ -73,6 +79,10 @@ __all__ = [
 # and a grid-and-golden scan over them is its reference in tests and bench.
 BETA_GRID: tuple[float, ...] = tuple(np.geomspace(0.02, 0.98, 33))
 
+# A bound form's value and the builder of its report.
+_Evaluated = tuple[float, Callable[[], BoundReport]]
+
+
 def _check_pair(profile: MomentProfile, envelope: VarianceEnvelope) -> None:
     if profile.n != envelope.n:
         raise ValidationError(
@@ -96,29 +106,25 @@ def theorem_bound(
     _check_pair(profile, envelope)
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
-    return _layered(profile, envelope, D, schedule, profile.total(profile.t), envelope.total())
+    t = profile.t
+    logs = _log_layers(t, D, schedule, int(t // 2))
+    return _layered(profile, envelope, schedule, profile.total(t), envelope.total(), logs)[1]()
 
 
-def _layered(profile, envelope, D: float, schedule: PQSchedule, A_t, B: float) -> BoundReport:
-    """The layered bound's report from the totals A_n(t) and B_n.  The
-    layers come from one pass of `_layer_sums`: T_0 = A_n(t);
+def _layered(profile, envelope, schedule: PQSchedule, A_t, B: float, logs) -> _Evaluated:
+    """The layered bound from the totals A_n(t), B_n and the schedule's
+    layer logs (log c_0, ..., log c_{m-1}; log c~_m) of `_log_layers`.
+    The layers come from one pass of `_layer_sums`: T_0 = A_n(t);
     T_j = sum_i a_i(t-2j) e_j(w_{i+1}..w_n) for 0 < j < m, the min-grouped
     sum with its two sums swapped, so that no prefix sums are formed; the
-    top layer is min-grouped over the prefix values (A_k(2))^(t/2-m).  They combine with the layer constants of
-    `_log_layers` in logs.  Layer j is homogeneous of degree j in the
-    weights b_i^2, so the kernel runs on w = (b_i / B_n)^2, which sum to 1,
-    and layer j carries B_n^{2j} in logs.  Where B_n itself is beyond the
-    float range the unit is max b_i instead, and the weights sum to at
-    most n."""
+    top layer is min-grouped over the prefix values (A_k(2))^(t/2-m).  They
+    combine with the layer constants in logs.  Layer j is homogeneous of
+    degree j in the weights b_i^2, so the kernel runs on w = (b_i / B_n)^2,
+    which sum to 1, and layer j carries B_n^{2j} in logs.  Where B_n itself
+    is beyond the float range the unit is max b_i instead, and the weights
+    sum to at most n."""
     t = profile.t
-    log_c, log_top = _log_layers(t, D, schedule, int(t // 2))
-    log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
-    return _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value)
-
-
-def _layered_log(profile, envelope, A_t, B: float, log_c, log_top: float) -> float:
-    """The log of the layered bound from its layer logs (one kernel pass)."""
-    t = profile.t
+    log_c, log_top = logs
     m = len(log_c)
     unit = B or 1.0  # B_n = 0 only without steps
     if unit == math.inf:
@@ -131,25 +137,17 @@ def _layered_log(profile, envelope, A_t, B: float, log_c, log_top: float) -> flo
         unit,
         t / 2.0 - m,
     )
-    return _log_sum([
+    value = _exp(_log_sum([
         log_cj + _log(layer) + 2 * j * math.log(unit)
         for j, (log_cj, layer) in enumerate(zip(log_c + [log_top], layers))
-    ])
-
-
-def _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value) -> BoundReport:
-    return BoundReport(
-        value=_exp(log_value),
+    ]))
+    return value, lambda: BoundReport(
+        value=value,
         method="theorem",
         constants={"c": [_exp(x) for x in log_c], "c_tilde": _exp(log_top)},
         parameters={"schedule": schedule.to_dict()},
         ratio_r=_ratio_scalar(t, A_t, B, envelope),
     )
-
-
-def _two_coefficients(log_ca, log_cb, log_A, log_Bt) -> tuple[float, dict]:
-    """log(C_A A_t + C_B B^t) and the report's {"C_A", "C_B"}."""
-    return _log_sum([log_ca + log_A, log_cb + log_Bt]), {"C_A": _exp(log_ca), "C_B": _exp(log_cb)}
 
 
 def corollary_bound(
@@ -168,29 +166,33 @@ def corollary_bound(
     t = _check_t(profile.t, "the aggregated bound needs", strict=True)
     D = smoothness_value(D)
     schedule = schedule or default_schedule()
-    return _aggregated(t, D, schedule, profile.total(t), envelope.total(), lambdas, envelope)
+    logs = _log_layers(t, D, schedule, int(t // 2))
+    return _aggregated(
+        t, schedule, profile.total(t), envelope.total(), logs, lambdas, envelope
+    )[1]()
 
 
 def _aggregated(
-    t: float, D: float, schedule: PQSchedule, A_t: float, B: float, lambdas="optimize",
+    t: float, schedule: PQSchedule, A_t: float, B: float, logs, lambdas="optimize",
     envelope: VarianceEnvelope | None = None,
-) -> BoundReport:
-    """The aggregated bound's report from the totals A_n(t) and B_n; the
-    ``envelope`` of B_n, where given, gives the ratio where B_n is beyond
-    the float range."""
+) -> _Evaluated:
+    """The aggregated bound from the totals A_n(t), B_n and the schedule's
+    layer logs (log c_0, ..., log c_{m-1}; log c~_m) of `_log_layers`;
+    ``lambdas`` as for :func:`corollary_bound`.  The ``envelope`` of B_n,
+    where given, gives the ratio where B_n is beyond the float range."""
+    log_c, log_top = logs
     log_A, log_Bt = _log(A_t), t * _log(B)
-    log_c, log_top, *coefficients = _aggregate(t, D, schedule, log_A, log_Bt, lambdas)
-    return _aggregated_report(t, schedule, A_t, B, envelope, log_c, log_top, *coefficients)
-
-
-def _aggregated_report(
-    t, schedule, A_t, B, envelope, log_c, log_top, lam, log_ca, log_cb
-) -> BoundReport:
-    log_value, constants = _two_coefficients(log_ca, log_cb, _log(A_t), t * _log(B))
-    return BoundReport(
-        value=_exp(log_value),
+    lam, log_ca, log_cb = _balance(t, log_c, log_top, log_A, log_Bt, lambdas)
+    value = _exp(_log_sum([log_ca + log_A, log_cb + log_Bt]))
+    return value, lambda: BoundReport(
+        value=value,
         method="corollary",
-        constants=dict(constants, c=[_exp(x) for x in log_c], c_tilde=_exp(log_top)),
+        constants={
+            "C_A": _exp(log_ca),
+            "C_B": _exp(log_cb),
+            "c": [_exp(x) for x in log_c],
+            "c_tilde": _exp(log_top),
+        },
         parameters={"lambdas": lam, "schedule": schedule.to_dict()},
         ratio_r=_ratio_scalar(t, A_t, B, envelope),
     )
@@ -200,7 +202,8 @@ def _one_layer(t, D, log_A, log_Bt, alpha=DEFAULT_BETA):
     """log(C_A A_t + C_B B^t) and {"C_A", "C_B"} of the aggregation at one
     layer (m = 1, also at t = 4) with unit lambda at beta_family(alpha)."""
     log_c, log_top = _log_layers(t, D, PQSchedule.beta_family(alpha), 1)
-    return _two_coefficients(*_log_coefficients(t, log_c, log_top, [0.0]), log_A, log_Bt)
+    log_ca, log_cb = _log_coefficients(t, log_c, log_top, [0.0])
+    return _log_sum([log_ca + log_A, log_cb + log_Bt]), {"C_A": _exp(log_ca), "C_B": _exp(log_cb)}
 
 
 def _split_min(t, D, log_A, log_Bt):
@@ -234,23 +237,20 @@ _CLOSED_FORMS = {
 }
 
 
-def _check_interval(name: str, t) -> _ClosedForm:
+def _check_interval(name: str, t) -> None:
     form = _CLOSED_FORMS[name]
     if not form.covers(t):
         raise DomainError(f"this closed form needs t in {form.interval}, got t={t}")
-    return form
 
 
-def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> BoundReport:
-    """The report of one closed form; ``params`` go to its formula and, as
-    floats, into the report's parameters."""
-    form = _check_interval(name, t)
-    D = smoothness_value(D)
-    A_t = _checked_scalar(a_name, A_t)
-    B = _checked_scalar("B", B)
-    log_value, constants = form.formula(t, D, _log(A_t), t * _log(B), **params)
-    return BoundReport(
-        value=_exp(log_value),
+def _closed(name: str, t: float, D: float, A_t: float, B: float, **params) -> _Evaluated:
+    """The closed form ``name`` from the totals A_n(t) and B_n; ``params``
+    go to its formula and, as floats, into the report's parameters.  Inputs
+    are not checked."""
+    log_value, constants = _CLOSED_FORMS[name].formula(t, D, _log(A_t), t * _log(B), **params)
+    value = _exp(log_value)
+    return value, lambda: BoundReport(
+        value=value,
         method=name,
         constants=constants,
         parameters={k: float(v) for k, v in params.items()},
@@ -258,9 +258,18 @@ def _closed_form(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> Boun
     )
 
 
+def _checked_closed(name: str, t, D, A_t, B, a_name: str = "A_t", **params) -> BoundReport:
+    """The report of one closed form after the checks every form shares."""
+    _check_interval(name, t)
+    D = smoothness_value(D)
+    A_t = _checked_scalar(a_name, A_t)
+    B = _checked_scalar("B", B)
+    return _closed(name, t, D, A_t, B, **params)[1]()
+
+
 def closed_form_2_3(t: float, D, A_t: float, B: float) -> BoundReport:
     """((t-2+D^2)/(t-1)) * (A + (t-1) B^t)  for t in (2, 3]."""
-    return _closed_form("closed_2_3", t, D, A_t, B)
+    return _checked_closed("closed_2_3", t, D, A_t, B)
 
 
 def closed_form_3_4(t: float, D, A_t: float, B: float, alpha: float) -> BoundReport:
@@ -269,7 +278,7 @@ def closed_form_3_4(t: float, D, A_t: float, B: float, alpha: float) -> BoundRep
     _check_interval("closed_3_4", t)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return _closed_form("closed_3_4", t, D, A_t, B, alpha=alpha)
+    return _checked_closed("closed_3_4", t, D, A_t, B, alpha=alpha)
 
 
 def closed_form_min(t: float, D, A_t: float, B: float) -> BoundReport:
@@ -277,17 +286,17 @@ def closed_form_min(t: float, D, A_t: float, B: float) -> BoundReport:
 
     ((t-2+D^2)/(t-1)) * [A^(1/s) + (t-1)^(1/s) B^(t/s)]^s,  s = max(1, t-2).
     """
-    return _closed_form("closed_min", t, D, A_t, B)
+    return _checked_closed("closed_min", t, D, A_t, B)
 
 
 def hilbert_2_4(t: float, A_t: float, B: float) -> BoundReport:
     """2^((t-3)_+) * (A + (t-1) B^t) for t in (2, 4]; Hilbert case D = 1."""
-    return _closed_form("hilbert_2_4", t, 1.0, A_t, B)
+    return _checked_closed("hilbert_2_4", t, 1.0, A_t, B)
 
 
 def t3_bound(D, A_3: float, B: float) -> BoundReport:
     """The t = 3 specialization ((1+D^2)/2) * (A_n(3) + 2 B_n^3)."""
-    return _closed_form("t3", 3.0, D, A_3, B, a_name="A_3")
+    return _checked_closed("t3", 3.0, D, A_3, B, a_name="A_3")
 
 
 @dataclass(frozen=True)
@@ -331,9 +340,7 @@ def pin94_bound(
         if not 1.0 <= c <= t:
             raise DomainError(f"balancing parameter c must lie in [1, {t}], got {c}")
     else:
-        c, _ = golden_section_minimize(
-            lambda x: _pin94_log(t, D, log_A, log_Bt, x), 1.0, t, tol=1e-10
-        )
+        c, _ = golden_section_minimize(lambda x: _pin94_log(t, D, log_A, log_Bt, x), 1.0, t)
     return BoundReport(
         value=_exp(t * math.log(config.K) + _pin94_log(t, D, log_A, log_Bt, c)),
         method="pin94",
@@ -341,13 +348,6 @@ def pin94_bound(
         parameters={"c": c},
         ratio_r=_ratio_scalar(t, A_t, B),
     )
-
-
-def _tuned_beta(t: float, D: float, log_A: float, log_Bt: float, layers=None) -> float:
-    """The beta on [0.02, 0.98] that minimizes the balanced aggregated
-    value; ``layers`` as for :func:`_log_balanced_beta_terms`."""
-    terms = _log_balanced_beta_terms(t, D, log_A, log_Bt, layers)
-    return _minimize_log_sum_exp_beta(terms, BETA_GRID[0], BETA_GRID[-1])
 
 
 def best_bound(
@@ -360,20 +360,24 @@ def best_bound(
 ) -> BoundReport:
     """Smallest applicable bound with provenance (t > 2).
 
-    Candidates: the layered bound, the aggregated bound with optimized
-    balancing parameters (with a schedule-parameter scan on top when the
-    schedule weights matter, i.e. t > 3), the closed forms on (2, 4], and
-    optionally the comparison bound.  The closed forms are the scanned rows
-    of ``_CLOSED_FORMS`` whose interval holds t.  Exact value ties go to the
-    method listed first in ``BOUND_METHODS``: the layered bound, then closed
-    forms, then the aggregation.  A_n(t) and B_n are summed once for every
-    candidate, and a beta-family schedule's layer logs are formed once:
-    they do not depend on beta.  The schedule scan minimizes the convex log
-    of the balanced value over beta in [0.02, 0.98] by safeguarded Newton,
-    in about 8 O(m) steps; the grid of ``BETA_GRID`` with golden-section
-    refinement is the reference the tests and the benchmark check it
-    against.  Every candidate's value is computed first, and only the
-    winner's report is built.
+    Candidates: the layered bound and the aggregated bound with optimized
+    balancing parameters at the caller's schedule, the aggregated bound at
+    a scanned beta-family schedule when the schedule weights matter (t > 3),
+    the closed forms on (2, 4], and optionally the comparison bound.  The
+    closed forms are the scanned rows of ``_CLOSED_FORMS`` whose interval
+    holds t.  Each candidate is a (value, report builder, method) triple
+    from its form's own evaluator, ranked by value; exact ties go to the
+    method listed first in ``BOUND_METHODS``: the layered bound, then
+    closed forms, then the aggregation.  Only the winner's report is built,
+    and it prints the value that was ranked.
+
+    A_n(t) and B_n are summed once for every candidate, and a beta-family
+    schedule's layer logs are formed once: they do not depend on beta.
+    Another schedule's scan runs on the default schedule's layer logs.  The
+    scan minimizes the convex log of the balanced value over beta in
+    [0.02, 0.98] by safeguarded Newton, in about 8 O(m) steps; the grid of
+    ``BETA_GRID`` with golden-section refinement is the reference the tests
+    and the benchmark check it against.
     """
     t = _check_t(profile.t, "best_bound needs", strict=True)
     D = smoothness_value(D)
@@ -384,45 +388,29 @@ def best_bound(
 
     m = int(t // 2)
     layers = _layer_logs(t, D, schedule, m)
-    log_A, log_Bt = _log(A_t), t * _log(B)
-    candidates = []  # (value, method, report builder)
-
-    def aggregated(sched, log_c, log_top):
-        lam, log_ca, log_cb = _balance(t, log_c, log_top, log_A, log_Bt, "optimize")
-        candidates.append((
-            _exp(_log_sum([log_ca + log_A, log_cb + log_Bt])),
-            "corollary",
-            lambda: _aggregated_report(
-                t, sched, A_t, B, envelope, log_c, log_top, lam, log_ca, log_cb
-            ),
-        ))
-
-    log_c, log_top = _logs_at(layers, schedule.beta)
-    log_value = _layered_log(profile, envelope, A_t, B, log_c, log_top)
-    candidates.append((
-        _exp(log_value),
-        "theorem",
-        lambda: _layered_report(t, schedule, envelope, A_t, B, log_c, log_top, log_value),
-    ))
-    aggregated(schedule, log_c, log_top)
+    logs = _logs_at(layers, schedule.beta)
+    candidates = [  # (value, report builder, method)
+        (*_layered(profile, envelope, schedule, A_t, B, logs), "theorem"),
+        (*_aggregated(t, schedule, A_t, B, logs, envelope=envelope), "corollary"),
+    ]
     if t > 3.0:
         # A beta-family schedule's layer logs do not depend on its beta.
         if schedule.kind != "beta_family":
             layers = _layer_logs(t, D, default_schedule(), m)
-        beta = _tuned_beta(t, D, log_A, log_Bt, layers)
-        aggregated(PQSchedule.beta_family(beta), *_logs_at(layers, beta))
+        terms = _log_balanced_beta_terms(t, D, _log(A_t), t * _log(B), layers)
+        beta = _minimize_log_sum_exp_beta(terms, BETA_GRID[0], BETA_GRID[-1])
+        tuned = PQSchedule.beta_family(beta)
+        candidates.append(
+            (*_aggregated(t, tuned, A_t, B, _logs_at(layers, beta), envelope=envelope), "corollary")
+        )
     # The closed forms and pin94 take finite totals; where A_n(t) or B_n is
-    # beyond the float range, the two bounds above are already +inf.
-    finite = math.isfinite(A_t) and math.isfinite(B)
-    for name, form in _CLOSED_FORMS.items():
-        if finite and form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert):
-            candidates.append((
-                _exp(form.formula(t, D, log_A, log_Bt)[0]),
-                name,
-                lambda name=name: _closed_form(name, t, D, A_t, B),
-            ))
-    if pin94 is not None and finite:
-        pin = pin94_bound(t, D, A_t, B, pin94)
-        candidates.append((pin.value, "pin94", lambda: pin))
-    _, _, build = min(candidates, key=lambda c: (c[0], BOUND_METHODS.index(c[1])))
+    # beyond the float range, the bounds above are already +inf.
+    if math.isfinite(A_t) and math.isfinite(B):
+        for name, form in _CLOSED_FORMS.items():
+            if form.scanned and form.covers(t) and (D == 1.0 or not form.hilbert):
+                candidates.append((*_closed(name, t, D, A_t, B), name))
+        if pin94 is not None:
+            pin = pin94_bound(t, D, A_t, B, pin94)
+            candidates.append((pin.value, lambda: pin, "pin94"))
+    _, build, _ = min(candidates, key=lambda c: (c[0], BOUND_METHODS.index(c[2])))
     return build()

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import _aggregate
+from .constants import _balance, _log_layers
 from .core import (
     DomainError,
     ValidationError,
@@ -67,19 +67,19 @@ def _ratio(t: float, b):
     ) ** (t - 1)
 
 
-def find_bt(t: float, *, tol: float = 1e-10) -> tuple[float, float]:
+def find_bt(t: float) -> tuple[float, float]:
     """Maximizer b_t of R(t, .) on [0, 1/2] and the constant C_t = R(t, b_t).
 
     R(t, .) is unimodal on [0, 1/2], equal to 1 at both ends with one
     interior maximum, so golden-section search on the whole interval finds
     it; near t = 2 the top is flat, and b_t is only as sharp as R allows.
     """
-    return _find_bt(_check_t(t, "the re-centering constant needs", strict=True), tol)
+    return _find_bt(_check_t(t, "the re-centering constant needs", strict=True))
 
 
-def _find_bt(t: float, tol: float = 1e-10) -> tuple[float, float]:
+def _find_bt(t: float) -> tuple[float, float]:
     """:func:`find_bt` at an already checked float t."""
-    b_opt, neg = golden_section_minimize(lambda x: -_ratio(t, x), 0.0, 0.5, tol=tol)
+    b_opt, neg = golden_section_minimize(lambda x: -_ratio(t, x), 0.0, 0.5, tol=1e-10)
     return float(b_opt), float(-neg)
 
 
@@ -140,6 +140,7 @@ def sum_norm_bound(
     moments_2 = _checked_scalar("moments_2", moments_2)
     schedule = schedule or default_schedule()
     log_A, log_Bt = _log(moments_t), t / 2.0 * _log(moments_2)
-    *_, log_ca, log_cb = _aggregate(t, 1.0, schedule, log_A, log_Bt, lambdas)
+    log_c, log_top = _log_layers(t, 1.0, schedule, int(t // 2))
+    _, log_ca, log_cb = _balance(t, log_c, log_top, log_A, log_Bt, lambdas)
     _, c_t = _find_bt(t)
     return _exp(_log_sum([math.log(c_t) + log_ca + log_A, log_cb + log_Bt]))

@@ -200,31 +200,23 @@ def optimize_lambdas(
     D = smoothness_value(D)
     A_t = _checked_scalar("A_t", A_t)
     B = _checked_scalar("B", B)
-    log_A, log_Bt = _log(A_t), t * _log(B)
-    return tuple(_aggregate(t, D, schedule or default_schedule(), log_A, log_Bt, "optimize")[2])
-
-
-def _aggregate(
-    t: float, D: float, schedule: PQSchedule, log_A: float, log_Bt: float, lambdas
-) -> tuple[list[float], float, list[float], float, float]:
-    """(log c, log c~_m, lambdas, log C_A, log C_B) at one (t, D, schedule)
-    from the logs of A_t and B^t.  ``lambdas`` is a sequence, ``None`` for
-    all ones or ``"optimize"`` (:func:`optimize_lambdas`); the returned
-    lambdas are floats.  The caller has checked 2 < t <= MAX_T, D and
-    A_t, B >= 0."""
-    if isinstance(lambdas, str) and lambdas != "optimize":
-        raise ValidationError(f"unknown lambdas mode {lambdas!r}")
-    log_c, log_top = _log_layers(t, D, schedule, int(t // 2))
-    return log_c, log_top, *_balance(t, log_c, log_top, log_A, log_Bt, lambdas)
+    log_c, log_top = _log_layers(t, D, schedule or default_schedule(), int(t // 2))
+    return tuple(_balance(t, log_c, log_top, _log(A_t), t * _log(B), "optimize")[0])
 
 
 def _balance(
     t: float, log_c, log_top: float, log_A: float, log_Bt: float, lambdas
 ) -> tuple[list[float], float, float]:
-    """(lambdas, log C_A, log C_B) of :func:`_aggregate` from the layer
-    logs; inputs but an explicit ``lambdas`` are not checked."""
+    """(lambdas, log C_A, log C_B) at one (t, D, schedule) from its layer
+    logs (:func:`_log_layers`) and the logs of A_t and B^t.  ``lambdas`` is
+    a sequence, ``None`` for all ones or ``"optimize"``
+    (:func:`optimize_lambdas`); the returned lambdas are floats.  Only
+    ``lambdas`` is checked here: the caller has checked 2 < t <= MAX_T, D
+    and A_t, B >= 0."""
     m = len(log_c)
     if isinstance(lambdas, str):
+        if lambdas != "optimize":
+            raise ValidationError(f"unknown lambdas mode {lambdas!r}")
         # lambda_j = r^{1/(t-2)}, or 1 where A_t or B^t is 0 or +inf.
         balanced = math.isfinite(log_A) and math.isfinite(log_Bt)
         log_r = (log_A - log_Bt) / (t - 2) if balanced else 0.0
@@ -272,9 +264,8 @@ def compute_constants(
     """Evaluate every constant at once (t > 2); lambdas default to ones."""
     t = _check_t(t, "the aggregated constants need", strict=True)
     D = smoothness_value(D)
-    log_c, log_top, lam, log_ca, log_cb = _aggregate(
-        t, D, schedule or default_schedule(), 0.0, 0.0, lambdas
-    )
+    log_c, log_top = _log_layers(t, D, schedule or default_schedule(), int(t // 2))
+    lam, log_ca, log_cb = _balance(t, log_c, log_top, 0.0, 0.0, lambdas)
     return ConstantSet(
         t=t, D=D, c=tuple(_exp(x) for x in log_c), c_tilde=_exp(log_top),
         C_A=_exp(log_ca), C_B=_exp(log_cb), lambdas=tuple(lam),

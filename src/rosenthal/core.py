@@ -8,6 +8,7 @@ threads without synchronization.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -170,17 +171,23 @@ def _checked_scalar(
 
 
 def _checked_int(
-    name: str, x, lo: int, *, error: type[RosenthalError] = ValidationError
+    name: str, x, lo: int, *, hi: int | None = sys.maxsize,
+    error: type[RosenthalError] = ValidationError,
 ) -> int:
     """The one form of a whole-number input (a count, index, dimension or
-    seed): ``x`` as an int when it is a whole number >= ``lo``, else an
-    ``error`` that names the input.  NaN, infinity and an integer beyond
-    the float range fail :func:`_checked_scalar` first; an int keeps its
-    exact value and is never rounded through float."""
+    seed): ``x`` as an int when it is a whole number in [``lo``, ``hi``],
+    else an ``error`` that names the input.  A size ends at the array index
+    range ``sys.maxsize``; a seed passes ``hi=None``, since it is only
+    hashed.  NaN, infinity and an integer beyond the float range fail
+    :func:`_checked_scalar` first; an int keeps its exact value and is
+    never rounded through float."""
     v = _checked_scalar(name, x, None, error=error)
     if not (v.is_integer() and v >= lo):
         raise error(f"{name} must be an integer >= {lo}, got {x}")
-    return int(x) if isinstance(x, (int, np.integer)) else int(v)
+    n = int(x) if isinstance(x, (int, np.integer)) else int(v)
+    if hi is not None and n > hi:
+        raise error(f"{name} must be an integer <= {hi}, got {x}")
+    return n
 
 
 def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:

@@ -32,7 +32,7 @@ _DEFAULT_MAX_WORKERS = 4
 
 def stream_key(seed: int, label: str, block: int) -> np.ndarray:
     """128-bit Philox key derived from (seed, stream label, block index)."""
-    seed = _checked_int("seed", seed, 0)
+    seed = _checked_int("seed", seed, 0, hi=None)
     digest = hashlib.sha256(f"{seed}:{label}:{int(block)}".encode()).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64)
 
@@ -42,11 +42,12 @@ def block_generator(seed: int, label: str, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, label, block)))
 
 
-def iter_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int, int]]:
-    """(block index, start, stop) covering range(total) in fixed blocks."""
+def iter_blocks(total: int) -> list[tuple[int, int, int]]:
+    """(block index, start, stop) covering range(total) in blocks of
+    ``BLOCK_SIZE``."""
     return [
-        (blk, start, min(start + block_size, total))
-        for blk, start in enumerate(range(0, total, block_size))
+        (blk, start, min(start + BLOCK_SIZE, total))
+        for blk, start in enumerate(range(0, total, BLOCK_SIZE))
     ]
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 
 from rosenthal import MomentProfile, PQSchedule, VarianceEnvelope, required_exponents
-from rosenthal.bounds import _aggregated, _tuned_beta
+from rosenthal.bounds import BETA_GRID, _aggregated
+from rosenthal.constants import _log_balanced_beta_terms, _log_layers
 from rosenthal.core import _log
+from rosenthal.optimize import _minimize_log_sum_exp_beta
 
 
 def increment_scale(space, x, y, t):
@@ -54,6 +56,14 @@ def make_valid_case(rng, t=None, n=None, max_n=30):
 
 def scanned_corollary(t, D, A_t, B):
     """The scanned candidate of ``best_bound``: the aggregated bound at the
-    beta its schedule scan (`_tuned_beta`) picks."""
-    beta = _tuned_beta(t, D, _log(A_t), t * _log(B))
-    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
+    beta its schedule scan picks, the Newton minimum of the balanced
+    value's terms on the span of ``BETA_GRID``."""
+    terms = _log_balanced_beta_terms(t, D, _log(A_t), t * _log(B))
+    beta = _minimize_log_sum_exp_beta(terms, BETA_GRID[0], BETA_GRID[-1])
+    return aggregated_report(t, D, PQSchedule.beta_family(beta), A_t, B)
+
+
+def aggregated_report(t, D, schedule, A_t, B):
+    """The report of ``bounds._aggregated`` at one schedule from the totals."""
+    logs = _log_layers(t, D, schedule, int(t // 2))
+    return _aggregated(t, schedule, A_t, B, logs)[1]()

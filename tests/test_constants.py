@@ -1,4 +1,5 @@
 import math
+import sys
 
 import decimal_oracle as oracle
 import numpy as np
@@ -537,9 +538,10 @@ class TestConstantsErrors:
     @pytest.mark.parametrize("name", list(_INTEGER_CALLS))
     def test_integer_inputs(self, name):
         # One helper in core checks every whole-number input: a fraction, a
-        # value below the lower bound, NaN, infinity or an integer beyond the
-        # float range is a RosenthalError that names the input, never a
-        # truncated value.
+        # value below the lower bound, NaN, infinity, an integer beyond the
+        # float range or a size beyond the array index range is a
+        # RosenthalError that names the input, never a truncated value or a
+        # bare OverflowError or numpy error.
         label, lo, call = _INTEGER_CALLS[name]
         for x in (2.5, lo - 1):
             with pytest.raises(RosenthalError, match=f"^{label} must be an integer >= {lo}, got {x}$"):
@@ -547,6 +549,10 @@ class TestConstantsErrors:
         for x in (math.nan, math.inf, 10**400):
             with pytest.raises(RosenthalError, match=f"^{label} must be finite, got"):
                 call(x)
+        # A size ends at the array index range; a seed is only hashed.
+        if label != "seed":
+            with pytest.raises(RosenthalError, match=f"^{label} must be an integer <= {sys.maxsize}, got"):
+                call(10**300)
 
     def test_corollary_below_two_is_a_domain_error(self):
         prof = MomentProfile(1, 2.0, {2.0: [1.0]})

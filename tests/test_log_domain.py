@@ -10,7 +10,7 @@ import decimal_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import make_valid_case, scanned_corollary
+from conftest import aggregated_report, make_valid_case, scanned_corollary
 from hypothesis import strategies as st
 
 from rosenthal import (
@@ -39,7 +39,7 @@ from rosenthal import (
     t3_bound,
     theorem_bound,
 )
-from rosenthal.bounds import BETA_GRID, _aggregated
+from rosenthal.bounds import BETA_GRID
 from rosenthal.constants import (
     MAX_T,
     _log_balanced_beta_terms,
@@ -342,6 +342,50 @@ class TestScanParity:
             want = min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))
             assert best_bound(prof, env, D).to_dict() == want.to_dict()
 
+    @pytest.mark.parametrize("t", [3.5, 5.0, 6.5, 11.0])
+    @pytest.mark.parametrize("kind", ["beta_family", "custom"])
+    def test_best_bound_with_a_schedule(self, t, kind):
+        # The caller's schedule gives the layered and aggregated candidates;
+        # the scan runs on beta-family layer logs whatever the schedule.  So
+        # best_bound is the smallest of the public bounds at the schedule and
+        # at the scanned beta, with the closed forms where t <= 4.
+        if kind == "custom":
+            schedule = PQSchedule.custom(custom_table(t))
+        else:
+            schedule = PQSchedule.beta_family(0.3)
+        rng = np.random.default_rng(int(10 * t))
+        winners = set()
+        for k in range(40):
+            D = 1.0 if k % 2 else float(rng.uniform(1.0, 3.0))
+            prof, env = make_valid_case(rng, t=t, max_n=6)
+            A_t, B = prof.total(t), env.total()
+            beta = scanned_corollary(t, D, A_t, B).parameters["schedule"]["beta"]
+            candidates = [
+                theorem_bound(prof, env, D, schedule),
+                corollary_bound(prof, env, D, schedule),
+                corollary_bound(prof, env, D, PQSchedule.beta_family(beta)),
+            ]
+            if t <= 4.0:
+                candidates.append(closed_form_min(t, D, A_t, B))
+                if D == 1.0:
+                    candidates.append(hilbert_2_4(t, A_t, B))
+            want = min(candidates, key=lambda r: (r.value, BOUND_METHODS.index(r.method)))
+            got = best_bound(prof, env, D, schedule)
+            assert got.to_dict() == want.to_dict()
+            winners.add(candidates.index(want))
+        if kind == "custom" and t > 4.0:
+            assert 2 in winners  # the scan wins some cases: its layer logs are checked
+
+
+def custom_table(t):
+    """An admissible custom table at every exponent t - 2j > 2 of t that
+    no beta-family schedule has: slack in the s > 3 constraint, weights
+    above 1 on (2, 3]."""
+    return {
+        s: (0.6 ** (3.0 - s), 0.3 ** (3.0 - s)) if s > 3.0 else (1.5, 1.2)
+        for s in (t - 2.0 * j for j in range(int(t // 2)))
+    }
+
 
 def scan_case(rng):
     """(t, D, A_t, B) of a random valid case with t in (3, MAX_T)."""
@@ -501,4 +545,4 @@ def ref_log_value_in_beta(t, D, log_A, log_Bt):
 def ref_scan(t, D, A_t, B):
     log_value_at = ref_log_value_in_beta(t, D, _log(A_t), t * _log(B))
     beta, _ = grid_then_golden_minimize(log_value_at, BETA_GRID, tol=1e-10)
-    return _aggregated(t, D, PQSchedule.beta_family(beta), A_t, B)
+    return aggregated_report(t, D, PQSchedule.beta_family(beta), A_t, B)
