@@ -190,6 +190,15 @@ def _checked_int(
     return n
 
 
+def _allocated(name: str, size: int, make):
+    """``make()``, or a :class:`ValidationError` that names the input
+    ``size`` when the array or list it asks for cannot be allocated."""
+    try:
+        return make()
+    except (MemoryError, ValueError):  # numpy: a shape beyond its index range
+        raise ValidationError(f"{name} is too large to allocate, got {size}") from None
+
+
 def _checked_array(name: str, values, *, positive: bool = False) -> np.ndarray:
     """The one form of a per-index input: a read-only 1-d float64 copy of
     ``values`` whose entries are finite and >= 0 (> 0 with ``positive``),

@@ -8,25 +8,21 @@ symmetric, which makes the partial sums a martingale automatically.
 Every model but ``dependent`` also knows its per-step moments
 a_i(s) = E||X_i||^s in closed form (:meth:`MartingaleModel.exact_profile`).
 :func:`simulate` draws only the norm stream of ||S_n||; the moment stream
-of ||X_i|| is drawn on first access to
-:attr:`SimulationResult.increment_norms`.
+of ||X_i|| is formed on first access to
+:attr:`SimulationResult.increment_norms`.  Where ||X_i|| = b_i surely
+(``rademacher``, ``hilbert``, ``lp``) it is the scale, and draws nothing.
 
-Each Philox block is simulated in row tiles of about ``_TILE_ELEMS``
-floats, so the working memory of a simulation is O(tile) on top of its
-outputs.  A tile continues the block's generator where the previous tile
-stopped, so no output bit depends on the tile size.  The moment estimate
-of :func:`rosenthal.verify.empirical_profile` reduces the stored moment
-stream in row tiles of the same size, so it too is O(tile) on top of it.
-
-The sphere models (``hilbert``, ``lp``) form the step sum
-S = sum_i b_i G_i / ||G_i|| as one ``einsum`` of the drawn tile against the
-(rows, n) factors b_i / ||G_i||, without writing to the tile; their outputs
-stay bitwise identical across thread counts and tile sizes.
+Each Philox block of a stream is computed in row tiles of about
+``_TILE_ELEMS`` floats by the model's ``_norm_tile`` (||S_n||, and S_n on
+request) or ``_increment_tile`` (||X_i||); the real-line models define
+only ``_steps``, from which the base class derives both.  A tile continues
+the block's generator where the previous tile stopped, so no output bit
+depends on the tile size, and the working memory of a simulation is
+O(tile) on top of its outputs.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +35,9 @@ from .core import (
     MomentProfile,
     ValidationError,
     VarianceEnvelope,
+    _allocated,
     _checked_array,
+    _checked_scalar,
     _checked_int,
     required_exponents,
 )
@@ -68,16 +66,7 @@ NORM_STREAM = "norms"
 _TILE_ELEMS = 65536
 
 
-def _as_scale(scale, n: int) -> np.ndarray:
-    if np.ndim(scale) == 0:
-        scale = [scale] * n
-    arr = _checked_array("scale", scale, positive=True)
-    if arr.shape != (n,):
-        raise ValidationError(f"scale must be a scalar or length-{n} sequence")
-    return arr
-
-
-class MartingaleModel(ABC):
+class MartingaleModel:
     """Base class: n symmetric steps with per-step envelope ``scale``."""
 
     kind: str = ""
@@ -87,8 +76,12 @@ class MartingaleModel(ABC):
     _dim: int = 1
 
     def __init__(self, n: int, scale=1.0) -> None:
-        self.n = _checked_int("step count n", n, 1)
-        self.scale = _as_scale(scale, self.n)
+        self.n = n = _checked_int("step count n", n, 1)
+        if np.ndim(scale) == 0:
+            scale = _allocated("step count n", n, lambda: [scale] * n)
+        self.scale = _checked_array("scale", scale, positive=True)
+        if self.scale.shape != (n,):
+            raise ValidationError(f"scale must be a scalar or length-{n} sequence")
 
     @property
     def smoothness(self) -> float:
@@ -116,21 +109,21 @@ class MartingaleModel(ABC):
             return None
         return MomentProfile(self.n, t, moments, exact=True)
 
-    @abstractmethod
-    def _simulate_block(
-        self, gen: np.random.Generator, size: int, keep_final: bool, increments: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """(final norms (size,), increment norms (size, n), final vectors).
+    def _steps(self, gen, rows: int) -> np.ndarray:
+        """The (rows, n) real steps X_i, each row computed from its own row
+        of one C-ordered draw of ``gen``, so that row tiles of a block give
+        the bits of one whole block.  A model without it overrides both
+        tile methods under the same rule."""
+        raise NotImplementedError
 
-        Each call draws exactly one C-ordered array from ``gen`` with the
-        ``size`` replications on its leading axis, and computes every
-        output row from its own row of that draw.  Since a generator
-        continues its stream across calls, simulating a block in
-        consecutive row tiles gives the bits of one whole-block call.
+    def _norm_tile(self, gen, rows: int, keep_final: bool) -> tuple:
+        """(||S_n|| (rows,), final vectors (rows, dim) or None)."""
+        s = self._steps(gen, rows).sum(axis=1)
+        return np.abs(s), (s[:, None] if keep_final else None)
 
-        Without ``increments`` a model may return None for the increment
-        norms instead of computing them; the other outputs keep their bits.
-        """
+    def _increment_tile(self, gen, rows: int) -> np.ndarray:
+        """||X_i|| as a (rows, n) array."""
+        return np.abs(self._steps(gen, rows))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n, "scale": [float(b) for b in self.scale]}
@@ -148,12 +141,13 @@ class RademacherModel(MartingaleModel):
 
     kind = "rademacher"
 
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        x = _signs(gen, (size, self.n))
+    def _steps(self, gen, rows):
+        x = _signs(gen, (rows, self.n))
         x *= self.scale
-        s = x.sum(axis=1)
-        xnorm = np.broadcast_to(self.scale, (size, self.n))
-        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
+        return x
+
+    def _increment_tile(self, gen, rows):
+        return np.broadcast_to(self.scale, (rows, self.n))
 
     def _moment(self, s):
         return self.scale**s
@@ -167,14 +161,12 @@ class UniformModel(MartingaleModel):
 
     kind = "uniform"
 
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        x = gen.random((size, self.n))
+    def _steps(self, gen, rows):
+        x = gen.random((rows, self.n))
         x *= 2.0
         x -= 1.0
         x *= math.sqrt(3.0) * self.scale
-        s = x.sum(axis=1)
-        xnorm = np.abs(x) if increments else None
-        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
+        return x
 
     def _moment(self, s):
         return (math.sqrt(3.0) * self.scale) ** s / (s + 1.0)
@@ -193,17 +185,15 @@ class TwoPointModel(MartingaleModel):
 
     def __init__(self, n: int, scale=1.0, prob: float = 0.1) -> None:
         super().__init__(n, scale)
+        prob = _checked_scalar("point mass", prob, None)
         if not 0.0 < prob <= 0.5:
             raise ValidationError(f"point mass must lie in (0, 0.5], got {prob}")
-        self.prob = float(prob)
+        self.prob = prob
 
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        u = gen.random((size, self.n))
+    def _steps(self, gen, rows):
+        u = gen.random((rows, self.n))
         eps = np.where(u < self.prob, -1.0, np.where(u >= 1.0 - self.prob, 1.0, 0.0))
-        x = (self.scale / math.sqrt(2.0 * self.prob)) * eps
-        s = x.sum(axis=1)
-        xnorm = np.abs(x) if increments else None
-        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
+        return (self.scale / math.sqrt(2.0 * self.prob)) * eps
 
     def _moment(self, s):
         return 2.0 * self.prob * (self.scale / math.sqrt(2.0 * self.prob)) ** s
@@ -216,10 +206,9 @@ class _SphereModel(MartingaleModel):
     """Steps b_i * V_i with V_i = G / ||G|| for a standard Gaussian G in the
     subclass's ``space`` (a ``checks`` space of dimension ``dim``).
 
-    A block draws G as one (rows, n, dim) array.  The factors
-    f_ri = b_i / ||G_ri|| (b_i where G_ri = 0) live on the small (rows, n)
-    array, and S_r = sum_i f_ri G_ri is a single ``einsum`` that leaves G
-    untouched; each output row depends on its own row of G alone, in an
+    A tile draws G as one (rows, n, dim) array, and S_r = sum_i f_ri G_ri
+    with f_ri = b_i / ||G_ri|| (b_i where G_ri = 0) is one ``einsum`` that
+    leaves G untouched; each row of S is summed from its own row of G in an
     order fixed by n and dim, so the bits do not depend on the tile shape.
     """
 
@@ -227,17 +216,15 @@ class _SphereModel(MartingaleModel):
     def smoothness(self) -> float:
         return self.space.smoothness
 
-    @property
-    def _dim(self) -> int:
-        return self.dim
-
-    def _simulate_block(self, gen, size, keep_final, increments=True):
-        g = gen.standard_normal((size, self.n, self.dim))
+    def _norm_tile(self, gen, rows, keep_final):
+        g = gen.standard_normal((rows, self.n, self.dim))
         nrm = self.space.norm(g)
         nrm[nrm == 0.0] = 1.0
         s = np.einsum("ijk,ij->ik", g, self.scale / nrm)
-        xnorm = np.broadcast_to(self.scale, (size, self.n))
-        return self.space.norm(s), xnorm, (s if keep_final else None)
+        return self.space.norm(s), (s if keep_final else None)
+
+    def _increment_tile(self, gen, rows):
+        return np.broadcast_to(self.scale, (rows, self.n))
 
     def _moment(self, s):
         return self.scale**s
@@ -251,7 +238,7 @@ class HilbertModel(_SphereModel):
     def __init__(self, n: int, scale=1.0, dim: int = 3) -> None:
         super().__init__(n, scale)
         self.space = HilbertSpace(dim)
-        self.dim = self.space.dim
+        self.dim = self._dim = self.space.dim
 
     def describe(self) -> dict:
         return {**super().describe(), "dim": self.dim}
@@ -269,7 +256,7 @@ class LpModel(_SphereModel):
         super().__init__(n, scale)
         self.space = LpSpace(p, dim)
         self.p = float(p)
-        self.dim = self.space.dim
+        self.dim = self._dim = self.space.dim
 
     def describe(self) -> dict:
         return {**super().describe(), "p": self.p, "dim": self.dim}
@@ -292,12 +279,12 @@ class DependentModel(MartingaleModel):
     # 1024-row tiles no longer.
     _min_tile_rows = 1024
 
-    def _simulate_block(self, gen, size, keep_final, increments=True):
+    def _walk(self, gen, rows, xnorm=None):
+        """S_n of ``rows`` walks, and |X_i| = sigma_i into ``xnorm``."""
         # Step i reads its signs from a contiguous row of eps.T.
-        eps = np.ascontiguousarray(_signs(gen, (size, self.n)).T)
-        s = np.zeros(size)
-        sigma = np.empty(size)
-        xnorm = np.empty((size, self.n)) if increments else None
+        eps = np.ascontiguousarray(_signs(gen, (rows, self.n)).T)
+        s = np.zeros(rows)
+        sigma = np.empty(rows)
         for i in range(self.n):
             np.abs(s, out=sigma)
             np.cos(sigma, out=sigma)
@@ -306,7 +293,16 @@ class DependentModel(MartingaleModel):
             if xnorm is not None:
                 xnorm[:, i] = sigma
             s += sigma * eps[i]
-        return np.abs(s), xnorm, (s[:, None] if keep_final else None)
+        return s
+
+    def _norm_tile(self, gen, rows, keep_final):
+        s = self._walk(gen, rows)
+        return np.abs(s), (s[:, None] if keep_final else None)
+
+    def _increment_tile(self, gen, rows):
+        xnorm = np.empty((rows, self.n))
+        self._walk(gen, rows, xnorm)
+        return xnorm
 
 
 @dataclass(frozen=True)
@@ -316,9 +312,10 @@ class SimulationResult:
     ``final_norms`` holds ||S_n|| per replication (norm stream) and
     ``increment_norms`` holds ||X_i|| per replication and step (moment
     stream), so moment estimates never share randomness with the norm
-    estimate they are compared against.  The moment stream is drawn on
+    estimate they are compared against.  The moment stream is formed on
     first access, with the seed, blocks and worker count of the norm
-    stream, so its bits do not depend on when it is drawn.
+    stream, so its bits do not depend on when; where ||X_i|| = b_i surely
+    it is the scale.
     """
 
     final_norms: np.ndarray
@@ -329,29 +326,20 @@ class SimulationResult:
 
     @cached_property
     def increment_norms(self) -> np.ndarray:
-        xnorm, _ = _run_stream(
-            self._model, self._seed, MOMENT_STREAM, self.final_norms.shape[0],
-            self._threads, False,
-        )
+        model, reps = self._model, self.final_norms.shape[0]
+        xnorm = _allocated("replications", reps, lambda: np.empty((reps, model.n)))
+        _run_stream(model, self._seed, MOMENT_STREAM, self._threads,
+                    lambda gen, rows: (model._increment_tile(gen, rows),), xnorm)
         return xnorm
 
 
-def _run_stream(
-    model: MartingaleModel,
-    seed: int,
-    label: str,
-    replications: int,
-    threads: int,
-    keep_final: bool,
-):
-    """Run every block of one stream, each in row tiles of about
-    ``_TILE_ELEMS`` floats.  The moment stream keeps the increment norms
-    (replications, n), any other stream the final norms (replications,);
-    final vectors are kept only with ``keep_final``."""
-    moments = label == MOMENT_STREAM
-    out = np.empty((replications, model.n) if moments else replications)
-    finals = np.empty((replications, model._dim)) if keep_final else None
-    blocks = iter_blocks(replications)
+def _run_stream(model: MartingaleModel, seed: int, label: str, threads: int, tile, *outs):
+    """Fill ``outs`` (replications on the leading axis) with the stream
+    ``label``.  Each block of :func:`iter_blocks` has its own generator and
+    runs on one of ``threads`` workers, in row tiles of about
+    ``_TILE_ELEMS`` floats; ``tile(gen, rows)`` returns a tuple that starts
+    with the tile's rows of each array in ``outs``."""
+    blocks = iter_blocks(outs[0].shape[0])
     rows = max(model._min_tile_rows, _TILE_ELEMS // model._width)
 
     def work(task):
@@ -359,10 +347,8 @@ def _run_stream(
         gen = block_generator(seed, label, blk)
         for a in range(start, stop, rows):
             b = min(a + rows, stop)
-            s, x, f = model._simulate_block(gen, b - a, keep_final, moments)
-            out[a:b] = x if moments else s
-            if keep_final:
-                finals[a:b] = f
+            for out, part in zip(outs, tile(gen, b - a)):
+                out[a:b] = part
 
     if threads == 1 or len(blocks) <= 1:
         for task in blocks:
@@ -370,7 +356,6 @@ def _run_stream(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return out, finals
 
 
 def simulate(
@@ -386,10 +371,13 @@ def simulate(
     worker count."""
     replications = _checked_int("replications", replications, 1)
     nthreads = worker_count(threads)
-    snorm, finals = _run_stream(
-        model, seed, NORM_STREAM, replications, nthreads, keep_final
-    )
-    return SimulationResult(snorm, finals, model, seed, nthreads)
+    norms = _allocated("replications", replications, lambda: np.empty(replications))
+    finals = (_allocated("replications", replications, lambda: np.empty((replications, model._dim)))
+              if keep_final else None)
+    outs = (norms, finals) if keep_final else (norms,)
+    _run_stream(model, seed, NORM_STREAM, nthreads,
+                lambda gen, rows: model._norm_tile(gen, rows, keep_final), *outs)
+    return SimulationResult(norms, finals, model, seed, nthreads)
 
 
 _MODELS = {

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ValidationError, _checked_array, _checked_int
+from .core import DomainError, ValidationError, _allocated, _checked_array, _checked_int
 
 __all__ = [
     "MinGroupedSumSpec",
@@ -130,7 +130,7 @@ def elementary_symmetric_suffix(weights: Sequence[float], order: int) -> np.ndar
     w = np.asarray(weights, dtype=float)
     # Column-major, so that every order is one contiguous column; the steps
     # run on its rows in reversed order.
-    table = np.zeros((w.shape[0] + 1, order + 1), order="F")
+    table = _allocated("order", order, lambda: np.zeros((w.shape[0] + 1, order + 1), order="F"))
     table[:, 0] = 1.0
     rev, p = table[::-1], np.empty_like(w)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,6 +15,7 @@ from rosenthal import (
     MinGroupedSumSpec,
     PQSchedule,
     RademacherModel,
+    TwoPointModel,
     ValidationError,
     best_bound,
     c_j,
@@ -435,6 +436,9 @@ _INTEGER_CALLS = {
     "LpSpace dim": ("dimension", 1, lambda x: LpSpace(3.0, x)),
 }
 
+# The entries of _INTEGER_CALLS that allocate an array or list of x entries.
+_ALLOCATING_CALLS = ("model n", "simulate replications", "elementary_symmetric_suffix order")
+
 
 # Each entry point that takes a scalar, called with x in one scalar and
 # otherwise valid arguments.
@@ -461,6 +465,7 @@ _SCALAR_CALLS = {
     "custom table q": lambda x: PQSchedule.custom({2.0: (1.0, x)}),
     "custom table key": lambda x: PQSchedule.custom({x: (1.0, 1.0)}),
     "LpSpace p": lambda x: LpSpace(x, 2),
+    "TwoPointModel prob": lambda x: TwoPointModel(3, 1.0, prob=x),
     "model scale": lambda x: make_model("rademacher", 3, x),
     "recentering_ratio b": lambda x: recentering_ratio(3.0, x),
     "check_riemann_sum s": lambda x: check_riemann_sum([1.0, 2.0], x),
@@ -553,6 +558,11 @@ class TestConstantsErrors:
         if label != "seed":
             with pytest.raises(RosenthalError, match=f"^{label} must be an integer <= {sys.maxsize}, got"):
                 call(10**300)
+        # An array or list of sys.maxsize entries cannot be allocated; the
+        # allocation fails at once, and its error names the input.
+        if name in _ALLOCATING_CALLS:
+            with pytest.raises(ValidationError, match=f"^{label} is too large to allocate, got {sys.maxsize}$"):
+                call(sys.maxsize)
 
     def test_corollary_below_two_is_a_domain_error(self):
         prof = MomentProfile(1, 2.0, {2.0: [1.0]})

@@ -34,6 +34,11 @@ class TestValidation:
             TwoPointModel(5, prob=0.0)
         with pytest.raises(ValidationError):
             TwoPointModel(5, prob=0.6)
+        for prob in ("0.1", None):
+            with pytest.raises(ValidationError, match="^point mass must be a number, got"):
+                TwoPointModel(3, 1.0, prob=prob)
+        with pytest.raises(ValidationError, match=r"^point mass must lie in \(0, 0.5\], got 0.0$"):
+            TwoPointModel(3, 1.0, prob=0.0)
         with pytest.raises(ValidationError):
             RademacherModel(0)
         with pytest.raises(ValidationError):
@@ -212,13 +217,34 @@ class TestMomentStream:
         assert labels and "moments" not in labels
 
     @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("kind", ["rademacher", "hilbert", "lp"])
+    def test_unit_norm_moment_stream_is_the_scale(self, kind, threads, monkeypatch):
+        # ||X_i|| = b_i surely, so the moment stream copies the scale and
+        # draws nothing from its generators.
+        labels = []
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"the moment stream drew {name}")
+
+        def no_draws(seed, label, block):
+            labels.append(label)
+            return NoDraws()
+
+        model = make_model(kind, 4, self.SCALE)
+        sim = simulate(model, seed=20, replications=20000, threads=threads)
+        monkeypatch.setattr(models, "block_generator", no_draws)
+        assert np.array_equal(sim.increment_norms, np.broadcast_to(model.scale, (20000, 4)))
+        assert labels and set(labels) == {"moments"}
+
+    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_increment_norms_match_per_block_reference(self, kind, threads):
         model = make_model(kind, 4, self.SCALE)
         reps = 20000
         sim = simulate(model, seed=14, replications=reps, threads=threads)
         ref = np.concatenate([
-            model._simulate_block(block_generator(14, "moments", blk), stop - start, False)[1]
+            model._increment_tile(block_generator(14, "moments", blk), stop - start)
             for blk, start, stop in iter_blocks(reps)
         ])
         assert np.array_equal(sim.increment_norms, ref)
@@ -226,13 +252,11 @@ class TestMomentStream:
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_final_norms_match_per_block_reference(self, kind, threads):
-        # The norm stream skips the increment norms; the reference computes
-        # them, so final norms must not depend on that choice.
         model = make_model(kind, 4, self.SCALE)
         reps = 20000
         sim = simulate(model, seed=15, replications=reps, threads=threads)
         ref = np.concatenate([
-            model._simulate_block(block_generator(15, "norms", blk), stop - start, False)[0]
+            model._norm_tile(block_generator(15, "norms", blk), stop - start, False)[0]
             for blk, start, stop in iter_blocks(reps)
         ])
         assert np.array_equal(sim.final_norms, ref)
@@ -249,7 +273,8 @@ class TestMomentStream:
         ids=["hilbert", "lp"],
     )
     def test_sphere_block_matches_inline_reference(self, model, norm, keep_final):
-        s, x, f = model._simulate_block(block_generator(17, "norms", 0), 500, keep_final)
+        s, f = model._norm_tile(block_generator(17, "norms", 0), 500, keep_final)
+        x = model._increment_tile(block_generator(17, "moments", 0), 500)
         g = block_generator(17, "norms", 0).standard_normal((500, 4, model.dim))
         nrm = norm(g)
         nrm[nrm == 0.0] = 1.0
@@ -279,18 +304,12 @@ class TestMomentStream:
                 return np.sqrt((v * v).sum(axis=-1))
             return (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
 
-        s = model._simulate_block(block_generator(21, "norms", 0), 1000, False)[0]
+        s = model._norm_tile(block_generator(21, "norms", 0), 1000, False)[0]
         g = block_generator(21, "norms", 0).standard_normal((1000, n, model.dim))
         nrm = norm(g)
         nrm[nrm == 0.0] = 1.0
         ref = norm((g / nrm[..., None] * model.scale[None, :, None]).sum(axis=1))
         assert np.max(np.abs(s - ref)) <= 1e-13 * model.scale.sum()
-
-    @pytest.mark.parametrize("kind", ["uniform", "two_point", "dependent"])
-    def test_norm_stream_skips_increment_norms(self, kind):
-        model = make_model(kind, 4, self.SCALE)
-        s, x, _ = model._simulate_block(block_generator(16, "norms", 0), 100, False, False)
-        assert x is None and s.shape == (100,)
 
 
 # Shapes whose tile does not divide the 8192-row block, so every block ends
@@ -321,17 +340,17 @@ class TestRowTiles:
                 n, params = TILE_CASES[kind]
                 model = make_model(kind, n, np.linspace(0.5, 2.0, n), **params)
                 norms = [
-                    model._simulate_block(block_generator(self.SEED, "norms", blk), stop - start, True)
+                    model._norm_tile(block_generator(self.SEED, "norms", blk), stop - start, True)
                     for blk, start, stop in iter_blocks(self.REPS)
                 ]
                 moments = [
-                    model._simulate_block(block_generator(self.SEED, "moments", blk), stop - start, False)[1]
+                    model._increment_tile(block_generator(self.SEED, "moments", blk), stop - start)
                     for blk, start, stop in iter_blocks(self.REPS)
                 ]
                 cache[kind] = (
                     model,
-                    np.concatenate([s for s, _, _ in norms]),
-                    np.concatenate([f for _, _, f in norms]),
+                    np.concatenate([s for s, _ in norms]),
+                    np.concatenate([f for _, f in norms]),
                     np.concatenate(moments),
                 )
             return cache[kind]
