@@ -19,6 +19,13 @@ only ``_steps``, from which the base class derives both.  A tile continues
 the block's generator where the previous tile stopped, so no output bit
 depends on the tile size, and the working memory of a simulation is
 O(tile) on top of its outputs.
+
+The real-line models map a uniform draw u on [0, 1) to a step by exact
+arithmetic, not by a scalar branch (``np.where``, which cost about four
+times as much per element): u - 1/2 is exact on the 2^-53 grid of u, so
+its sign is that of u >= 1/2 (u = 1/2 gives +0); a product b * (+-1) or
+b * 0 is exact; and the two events of ``two_point`` are disjoint for
+p <= 1/2.  Each map therefore gives the bits of the branch it stands for.
 """
 
 from __future__ import annotations
@@ -132,18 +139,19 @@ class MartingaleModel:
         return f"{type(self).__name__}(n={self.n})"
 
 
-def _signs(gen: np.random.Generator, shape) -> np.ndarray:
-    return np.where(gen.random(shape) < 0.5, -1.0, 1.0)
-
-
 class RademacherModel(MartingaleModel):
-    """Real scalar steps X_i = b_i * eps_i with Rademacher signs."""
+    """Real scalar steps X_i = b_i * eps_i with Rademacher signs.
+
+    X_i = copysign(b_i, u - 1/2) for a uniform draw u: the difference is
+    exact, so X_i = -b_i exactly when u < 1/2 and +b_i otherwise.
+    """
 
     kind = "rademacher"
 
     def _steps(self, gen, rows):
-        x = _signs(gen, (rows, self.n))
-        x *= self.scale
+        x = gen.random((rows, self.n))
+        x -= 0.5
+        np.copysign(self.scale, x, out=x)
         return x
 
     def _increment_tile(self, gen, rows):
@@ -179,6 +187,11 @@ class TwoPointModel(MartingaleModel):
     E X_i^2 = b_i^2 exactly.  As p decreases the increments grow heavy
     tailed and the moment ratio A_n(t)/B_n^t blows up, the regime in which
     the coefficient of A_n(t) is the binding one.
+
+    A uniform draw u maps to [u >= 1 - p] - [u < p] in {-1, 0, 1}, the
+    difference of two disjoint events for p <= 1/2, times b_i/sqrt(2p);
+    a product with +-1 or 0 is exact, so X_i is +-b_i/sqrt(2p) or 0 as
+    rounded once.
     """
 
     kind = "two_point"
@@ -192,8 +205,9 @@ class TwoPointModel(MartingaleModel):
 
     def _steps(self, gen, rows):
         u = gen.random((rows, self.n))
-        eps = np.where(u < self.prob, -1.0, np.where(u >= 1.0 - self.prob, 1.0, 0.0))
-        return (self.scale / math.sqrt(2.0 * self.prob)) * eps
+        x = np.subtract(u >= 1.0 - self.prob, u < self.prob, dtype=float)
+        x *= self.scale / math.sqrt(2.0 * self.prob)
+        return x
 
     def _moment(self, s):
         return 2.0 * self.prob * (self.scale / math.sqrt(2.0 * self.prob)) ** s
@@ -270,6 +284,10 @@ class DependentModel(MartingaleModel):
     envelope condition holds surely while consecutive steps are dependent.
     (A sine modulation would freeze the walk at S_0 = 0; cosine starts it
     at full scale.)
+
+    The signs are eps_i = copysign(1, u - 1/2), exact as in
+    ``rademacher``, stored steps-major so that step i reads one contiguous
+    row; sigma_i * eps_i is exact, so the product is formed in place.
     """
 
     kind = "dependent"
@@ -281,8 +299,9 @@ class DependentModel(MartingaleModel):
 
     def _walk(self, gen, rows, xnorm=None):
         """S_n of ``rows`` walks, and |X_i| = sigma_i into ``xnorm``."""
-        # Step i reads its signs from a contiguous row of eps.T.
-        eps = np.ascontiguousarray(_signs(gen, (rows, self.n)).T)
+        # Step i reads its signs from row i of the C-ordered (n, rows) eps.
+        eps = np.subtract(gen.random((rows, self.n)).T, 0.5, order="C")
+        np.copysign(1.0, eps, out=eps)
         s = np.zeros(rows)
         sigma = np.empty(rows)
         for i in range(self.n):
@@ -292,7 +311,8 @@ class DependentModel(MartingaleModel):
             sigma *= self.scale[i]
             if xnorm is not None:
                 xnorm[:, i] = sigma
-            s += sigma * eps[i]
+            sigma *= eps[i]
+            s += sigma
         return s
 
     def _norm_tile(self, gen, rows, keep_final):
@@ -315,7 +335,8 @@ class SimulationResult:
     estimate they are compared against.  The moment stream is formed on
     first access, with the seed, blocks and worker count of the norm
     stream, so its bits do not depend on when; where ||X_i|| = b_i surely
-    it is the scale.
+    it is the scale.  It is read-only, because the checks of
+    :mod:`rosenthal.verify` keep its column means.
     """
 
     final_norms: np.ndarray
@@ -323,6 +344,8 @@ class SimulationResult:
     _model: MartingaleModel = field(repr=False, compare=False)
     _seed: int = field(repr=False, compare=False)
     _threads: int = field(repr=False, compare=False)
+    # Column means of the moment stream per exponent, filled by verify.
+    _moment_means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def increment_norms(self) -> np.ndarray:
@@ -330,6 +353,7 @@ class SimulationResult:
         xnorm = _allocated("replications", reps, lambda: np.empty((reps, model.n)))
         _run_stream(model, self._seed, MOMENT_STREAM, self._threads,
                     lambda gen, rows: (model._increment_tile(gen, rows),), xnorm)
+        xnorm.setflags(write=False)
         return xnorm
 
 

@@ -16,6 +16,11 @@ bit for bit while the scratch is about one tile, not R * n floats.  One
 column (n = 1) is summed pairwise, so there the column is one tile of R
 floats, the size of the stream.  An input that is not C-ordered is copied
 to C order first, so the estimate does not depend on memory layout.
+Checks on one simulation share its column means: ``check_from_simulation``
+reduces the stored stream, in one sweep, only for the exponents that no
+earlier check of that simulation reduced.  An exponent's carry-row sums
+do not depend on the other exponents of its sweep, so the bits are those
+of ``empirical_profile``.
 
 ``check_from_simulation`` and ``estimate_and_check`` check 2 <= t <=
 ``MAX_T`` through ``core._check_t``, the one check of the exponent domain,
@@ -141,6 +146,20 @@ def _stream_means(x: np.ndarray, exponents) -> dict[float, np.ndarray]:
     return {s: total / R for s, total in sums.items()}
 
 
+def _simulation_profile(model: MartingaleModel, sim: SimulationResult, t: float) -> MomentProfile:
+    """``empirical_profile(model, t, sim.increment_norms)`` bit for bit, in
+    one sweep over the stored moment stream for the exponents that no
+    earlier check of ``sim`` reduced.  The column means are kept per exact
+    exponent, not per :func:`~rosenthal.core.exponent_key`: 2.1 and the
+    2.0999999999999996 of t = 4.1 share a key but not their powers."""
+    exponents = required_exponents(t)
+    means = sim._moment_means
+    todo = [s for s in exponents if s not in means]
+    if todo:
+        means.update(_stream_means(sim.increment_norms, todo))
+    return MomentProfile(model.n, t, {s: means[s] for s in exponents})
+
+
 def check_from_simulation(
     model: MartingaleModel,
     sim: SimulationResult,
@@ -163,7 +182,7 @@ def check_from_simulation(
     profile = model.exact_profile(t)
     exact = profile is not None
     if not exact:
-        profile = empirical_profile(model, t, sim.increment_norms)
+        profile = _simulation_profile(model, sim, t)
     envelope = model.envelope()
     D = model.smoothness
 

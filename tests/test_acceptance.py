@@ -269,7 +269,7 @@ def test_criterion_09_pointwise_lemma_suites():
     crit.finish(not bad, str(bad[:4]))
 
 
-def test_criterion_10_cli_determinism():
+def test_criterion_10_cli_determinism(tmp_path):
     crit = _Criterion(10, "verify JSON bitwise identical across thread counts", 60.0)
     configs = [
         ["--model", "rademacher", "--n", "50", "--t", "3", "--seed", "0",
@@ -278,12 +278,16 @@ def test_criterion_10_cli_determinism():
          "--seed", "1", "--reps", "20000"],
         ["--model", "lp", "--dim", "8", "--n", "5", "--t", "3.5",
          "--seed", "2", "--reps", "20000"],
+        ["--model", "two_point", "--p", "0.1", "--n", "20", "--t", "3.5",
+         "--seed", "3", "--reps", "20000"],
+        ["--model", "dependent", "--n", "50", "--t", "3", "--seed", "4",
+         "--reps", "20000"],
     ]
     bad = []
-    for config in configs:
+    for k, config in enumerate(configs):
         blobs = []
         for threads in ("1", "4"):
-            out = f"/tmp/rosenthal_det_{threads}.json"
+            out = tmp_path / f"det_{k}_{threads}.json"
             env = dict(os.environ, ROSENTHAL_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "rosenthal.cli", "verify", *config,

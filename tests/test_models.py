@@ -419,3 +419,90 @@ class TestRowTiles:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class _EdgeDraws:
+    """A stand-in generator whose ``random`` repeats fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, shape):
+        return np.resize(self.values, shape)
+
+
+def _edges(*points):
+    """Each point in [0, 1) with its float neighbours in [0, 1), and the
+    largest double below 1."""
+    out = set()
+    for x in points:
+        out.update({math.nextafter(x, -1.0), x, math.nextafter(x, 2.0)})
+    return sorted(v for v in out if 0.0 <= v < 1.0) + [math.nextafter(1.0, 0.0)]
+
+
+def _where_signs(u):
+    """The scalar-branch sign map the arithmetic maps replaced."""
+    return np.where(u < 0.5, -1.0, 1.0)
+
+
+def _where_walk(model, gen, rows, xnorm=None):
+    """DependentModel._walk with the sign map and step product it had
+    before the arithmetic maps."""
+    eps = np.ascontiguousarray(_where_signs(gen.random((rows, model.n))).T)
+    s = np.zeros(rows)
+    sigma = np.empty(rows)
+    for i in range(model.n):
+        np.abs(s, out=sigma)
+        np.cos(sigma, out=sigma)
+        np.abs(sigma, out=sigma)
+        sigma *= model.scale[i]
+        if xnorm is not None:
+            xnorm[:, i] = sigma
+        s += sigma * eps[i]
+    return s
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestExactStepMaps:
+    """The arithmetic sign maps give the bits of the np.where maps they
+    replaced, on Philox draws and on the draws at each decision point."""
+
+    SCALE = np.linspace(0.3, 2.1, 9)
+    ROWS = 700
+
+    def generators(self, *points):
+        yield block_generator(22, "norms", 0), block_generator(22, "norms", 0)
+        yield _EdgeDraws(_edges(*points)), _EdgeDraws(_edges(*points))
+
+    def test_rademacher(self):
+        model = RademacherModel(9, self.SCALE)
+        for gen, ref in self.generators(0.0, 0.5):
+            got = model._steps(gen, self.ROWS)
+            want = _where_signs(ref.random((self.ROWS, 9)))
+            want *= model.scale
+            assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_two_point(self, p):
+        model = TwoPointModel(9, self.SCALE, prob=p)
+        for gen, ref in self.generators(0.0, p, 1.0 - p, 0.5):
+            got = model._steps(gen, self.ROWS)
+            u = ref.random((self.ROWS, 9))
+            eps = np.where(u < p, -1.0, np.where(u >= 1.0 - p, 1.0, 0.0))
+            want = (model.scale / math.sqrt(2.0 * p)) * eps
+            assert _same_bits(got, want)
+            assert set(np.unique(np.sign(got))) == ({-1.0, 1.0} if p == 0.5 else {-1.0, 0.0, 1.0})
+
+    @pytest.mark.parametrize("with_xnorm", [False, True])
+    def test_dependent_walk(self, with_xnorm):
+        model = DependentModel(9, self.SCALE)
+        for gen, ref in self.generators(0.0, 0.5):
+            got_x, want_x = (np.empty((self.ROWS, 9)) if with_xnorm else None for _ in range(2))
+            got = model._walk(gen, self.ROWS, got_x)
+            want = _where_walk(model, ref, self.ROWS, want_x)
+            assert _same_bits(got, want)
+            if with_xnorm:
+                assert _same_bits(got_x, want_x)

@@ -19,6 +19,7 @@ from rosenthal import (
     corollary_bound,
     estimate_and_check,
     simulate,
+    theorem_bound,
 )
 from rosenthal import models, verify
 from rosenthal.core import required_exponents
@@ -115,6 +116,10 @@ def _reference_profile(model, t, increment_norms):
     return MomentProfile(model.n, t, {s: (x**s).mean(axis=0) for s in required_exponents(t)})
 
 
+def _whole_array_means(x, exponents):
+    return {s: (x**s).mean(axis=0) for s in exponents}
+
+
 class TestTiledMoments:
     EXPONENTS = (2.0, 2.5, 3.0, 4.0)
 
@@ -170,8 +175,62 @@ class TestTiledMoments:
         reports = [check_from_simulation(model, sim, t).to_dict() for sim in sims]
         assert reports[0] == reports[1]
         assert reports[0]["profile"] == "estimated"
-        monkeypatch.setattr(verify, "empirical_profile", _reference_profile)
-        assert check_from_simulation(model, sims[0], t).to_dict() == reports[0]
+        # A fresh simulation, so that no column mean is already kept.
+        monkeypatch.setattr(verify, "_stream_means", _whole_array_means)
+        fresh = simulate(model, seed=11, replications=5000)
+        assert check_from_simulation(model, fresh, t).to_dict() == reports[0]
+
+
+class TestMomentMeanCache:
+    """Checks on one simulation reduce its stored moment stream once per
+    exponent, and each profile keeps the bits of ``empirical_profile``."""
+
+    @staticmethod
+    def run_checks(monkeypatch, model, sim, ts):
+        seen, profiles = [], {}
+
+        def counting(x, exponents):
+            seen.extend(exponents)
+            return _stream_means(x, exponents)
+
+        def capturing(profile, *args):
+            profiles[profile.t] = profile
+            return theorem_bound(profile, *args)
+
+        monkeypatch.setattr(verify, "_stream_means", counting)
+        monkeypatch.setattr(verify, "theorem_bound", capturing)
+        for t in ts:
+            assert check_from_simulation(model, sim, t).profile == "estimated"
+        monkeypatch.undo()
+        return seen, profiles
+
+    @staticmethod
+    def assert_profile_bits(model, sim, profiles):
+        for t, got in profiles.items():
+            want = empirical_profile(model, t, sim.increment_norms)
+            assert got.exponents == want.exponents
+            for s in want.exponents:
+                assert got.moment_array(s).tobytes() == want.moment_array(s).tobytes(), (t, s)
+
+    def test_each_exponent_is_reduced_once(self, monkeypatch):
+        model = DependentModel(50, np.linspace(0.5, 2.0, 50))
+        sim = simulate(model, seed=12, replications=3000)
+        ts = (2.5, 3.0, 3.5, 4.0)
+        seen, profiles = self.run_checks(monkeypatch, model, sim, ts + ts)
+        assert sorted(seen) == [2.0, 2.5, 3.0, 3.5, 4.0]
+        assert sorted(profiles) == list(ts)
+        self.assert_profile_bits(model, sim, profiles)
+        with pytest.raises(ValueError, match="read-only"):
+            sim.increment_norms[0, 0] = 0.0
+
+    def test_exponents_sharing_a_key_keep_their_own_powers(self, monkeypatch):
+        # t = 4.1 needs 4.1 - 2 = 2.0999999999999996, whose key is that of
+        # 2.1; the later check at t = 2.1 must still raise to 2.1 itself.
+        model = DependentModel(6, 1.0)
+        sim = simulate(model, seed=13, replications=2000)
+        seen, profiles = self.run_checks(monkeypatch, model, sim, (4.1, 2.1))
+        assert sorted(seen) == [2.0, 4.1 - 2.0, 2.1, 4.1]
+        self.assert_profile_bits(model, sim, profiles)
 
 
 class TestEmpiricalProfileInput:
