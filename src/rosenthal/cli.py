@@ -9,8 +9,20 @@ verify       simulate a built-in martingale model and check the bounds
 
 Exit codes: 0 success (for verify: check passed), 1 verify check failed,
 2 usage or validation error; a bound beyond the float range is +inf, not
-an error.  All floating-point output carries 12 significant digits.  The ROSENTHAL_THREADS environment
-variable caps the simulation worker count and never changes results.
+an error.  The ROSENTHAL_THREADS environment variable caps the simulation
+worker count and never changes results.
+
+Output: stdout and ``--output FILE`` carry the same bytes, which end in a
+newline.  A report is written in one walk by ``_report_text``: JSON with
+sorted keys and a 2-space indent (the text of ``json.dumps(...,
+indent=2, sort_keys=True)``), or a CSV header row of dotted key paths and
+one row of values; each float is rounded to 12 significant digits as
+``float(format(x, ".12g"))``.  The ratio-curve CSV and ``--dump-norms``
+print ``format(x, ".12g")`` itself, so 4.0 prints as 4 there.
+
+A request is parsed by its subcommand's parser alone; help, usage errors
+and requests with words left over go through the whole parser, so their
+messages and exit codes are those of a full parse.
 """
 
 from __future__ import annotations
@@ -46,51 +58,102 @@ from .verify import check_from_simulation
 _FLOAT_DIGITS = ".12g"
 
 
-def _round_floats(obj):
-    """Recursively round floats to 12 significant digits for stable output."""
+# JSON spellings of the float reprs json.dumps replaces (allow_nan=True).
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a quoted string (a number key
+    as its unrounded JSON text)."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_parts(obj, newline: str, out: list) -> None:
+    """Append the JSON text of ``obj`` to ``out``: the text of
+    ``json.dumps(obj, indent=2, sort_keys=True)`` with every float rounded
+    to 12 significant digits, at the indent that ``newline`` ends with."""
     if isinstance(obj, float):
-        return float(format(obj, _FLOAT_DIGITS))
+        text = float.__repr__(float(format(obj, _FLOAT_DIGITS)))
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep)
+            out.append(_json_key(key))
+            out.append(": ")
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _csv_cells(obj, prefix: str, out: dict) -> None:
+    """Add the leaves of ``obj`` to ``out`` as {dotted path: cell text}:
+    dict keys in sorted order, list items by index, floats rounded to 12
+    significant digits, None as an empty cell."""
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        for key in sorted(obj):
+            _csv_cells(obj[key], f"{prefix}{key}.", out)
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            _csv_cells(item, f"{prefix}{i}.", out)
+    elif isinstance(obj, float):
+        out[prefix[:-1]] = str(float(format(obj, _FLOAT_DIGITS)))
+    else:
+        out[prefix[:-1]] = "" if obj is None else str(obj)
+
+
+def _report_text(data, fmt: str) -> str:
+    """The text of a report in one walk: JSON with sorted keys and a
+    2-space indent, or a CSV header row and value row of its dotted leaf
+    paths; every float carries 12 significant digits, and the text ends
+    with a newline."""
+    if fmt == "csv":
+        cells: dict = {}
+        _csv_cells(data, "", cells)
+        return ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
+    parts: list = []
+    _json_parts(data, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout (path None or "-") or to the file ``path``:
+    the same bytes either way."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _write_json(data, path: str | None) -> None:
-    _write_text(json.dumps(_round_floats(data), indent=2, sort_keys=True), path)
-
-
-def _flatten(data, prefix=""):
-    out = {}
-    if isinstance(data, dict):
-        for key in sorted(data):
-            out.update(_flatten(data[key], f"{prefix}{key}."))
-    elif isinstance(data, (list, tuple)):
-        for i, item in enumerate(data):
-            out.update(_flatten(item, f"{prefix}{i}."))
-    else:
-        out[prefix[:-1]] = data
-    return out
-
-
-def _write_report(data, path: str | None, fmt: str) -> None:
-    if fmt == "csv":
-        flat = _flatten(_round_floats(data))
-        cells = ["" if v is None else str(v) for v in flat.values()]
-        _write_text(",".join(flat) + "\n" + ",".join(cells) + "\n", path)
-    else:
-        _write_json(data, path)
 
 
 def _schedule_from_args(args) -> PQSchedule:
@@ -180,7 +243,7 @@ def _cmd_bound(args) -> int:
     if args.beta is not None:
         case = (*case[:3], PQSchedule.beta_family(args.beta))
     report = _BOUND_CALLS[args.method](args, case)
-    _write_report(report.to_dict(), args.output, args.format)
+    _write_text(_report_text(report.to_dict(), args.format), args.output)
     return 0
 
 
@@ -192,17 +255,15 @@ def _cmd_constants(args) -> int:
     data["b_t"] = b_opt
     data["C_t"] = c_opt
     data["schedule"] = schedule.to_dict()
-    _write_report(data, args.output, args.format)
+    _write_text(_report_text(data, args.format), args.output)
     return 0
 
 
 def _cmd_ratio_curve(args) -> int:
     points = ratio_curve(args.t_min, args.t_max, args.steps)
     if args.format == "json":
-        _write_json(
-            [{"t": p.t, "ez_t": p.ez_t, "ratio": p.ratio} for p in points],
-            args.output,
-        )
+        rows = [{"t": p.t, "ez_t": p.ez_t, "ratio": p.ratio} for p in points]
+        _write_text(_report_text(rows, "json"), args.output)
     else:
         lines = ["t,ez_t,ratio"]
         for p in points:
@@ -239,7 +300,7 @@ def _cmd_verify(args) -> int:
         ]
         _write_text("\n".join(lines) + "\n", args.dump_norms)
     report = check_from_simulation(model, sim, args.t, schedule)
-    _write_report(report.to_dict(), args.output, args.format)
+    _write_text(_report_text(report.to_dict(), args.format), args.output)
     return 0 if report.passed else 1
 
 
@@ -310,8 +371,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, at one parser level where it can be:
+    a request whose first word names a subcommand, and whose words that
+    subcommand's parser takes up entirely, is parsed by that parser alone.
+    Any other request (help, a usage error, a word left over) goes through
+    the whole parser, so its messages and exit code are the whole parse's."""
+    if argv:
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices.get(argv[0])
+        if parser is not None:
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (RosenthalError, OSError, KeyError, ValueError) as exc:

@@ -10,7 +10,8 @@ a_i(s) = E||X_i||^s in closed form (:meth:`MartingaleModel.exact_profile`).
 :func:`simulate` draws only the norm stream of ||S_n||; the moment stream
 of ||X_i|| is formed on first access to
 :attr:`SimulationResult.increment_norms`.  Where ||X_i|| = b_i surely
-(``rademacher``, ``hilbert``, ``lp``) it is the scale, and draws nothing.
+(``rademacher``, ``hilbert``, ``lp``) it is a read-only broadcast view of
+the scale: no generator is built and nothing is copied.
 
 Each Philox block of a stream is computed in row tiles of about
 ``_TILE_ELEMS`` floats by the model's ``_norm_tile`` (||S_n||, and S_n on
@@ -81,6 +82,8 @@ class MartingaleModel:
     _min_tile_rows: int = 1
     # Length of a final vector S_n: 1 on the real line.
     _dim: int = 1
+    # ||X_i|| = b_i surely, so the moment stream is the scale.
+    _unit_norm: bool = False
 
     def __init__(self, n: int, scale=1.0) -> None:
         self.n = n = _checked_int("step count n", n, 1)
@@ -119,8 +122,9 @@ class MartingaleModel:
     def _steps(self, gen, rows: int) -> np.ndarray:
         """The (rows, n) real steps X_i, each row computed from its own row
         of one C-ordered draw of ``gen``, so that row tiles of a block give
-        the bits of one whole block.  A model without it overrides both
-        tile methods under the same rule."""
+        the bits of one whole block.  A model without it overrides
+        ``_norm_tile`` under the same rule, and ``_increment_tile`` unless
+        it sets ``_unit_norm``."""
         raise NotImplementedError
 
     def _norm_tile(self, gen, rows: int, keep_final: bool) -> tuple:
@@ -130,6 +134,8 @@ class MartingaleModel:
 
     def _increment_tile(self, gen, rows: int) -> np.ndarray:
         """||X_i|| as a (rows, n) array."""
+        if self._unit_norm:
+            return np.broadcast_to(self.scale, (rows, self.n))
         return np.abs(self._steps(gen, rows))
 
     def describe(self) -> dict:
@@ -147,15 +153,13 @@ class RademacherModel(MartingaleModel):
     """
 
     kind = "rademacher"
+    _unit_norm = True
 
     def _steps(self, gen, rows):
         x = gen.random((rows, self.n))
         x -= 0.5
         np.copysign(self.scale, x, out=x)
         return x
-
-    def _increment_tile(self, gen, rows):
-        return np.broadcast_to(self.scale, (rows, self.n))
 
     def _moment(self, s):
         return self.scale**s
@@ -226,6 +230,8 @@ class _SphereModel(MartingaleModel):
     order fixed by n and dim, so the bits do not depend on the tile shape.
     """
 
+    _unit_norm = True
+
     @property
     def smoothness(self) -> float:
         return self.space.smoothness
@@ -236,9 +242,6 @@ class _SphereModel(MartingaleModel):
         nrm[nrm == 0.0] = 1.0
         s = np.einsum("ijk,ij->ik", g, self.scale / nrm)
         return self.space.norm(s), (s if keep_final else None)
-
-    def _increment_tile(self, gen, rows):
-        return np.broadcast_to(self.scale, (rows, self.n))
 
     def _moment(self, s):
         return self.scale**s
@@ -335,7 +338,8 @@ class SimulationResult:
     estimate they are compared against.  The moment stream is formed on
     first access, with the seed, blocks and worker count of the norm
     stream, so its bits do not depend on when; where ||X_i|| = b_i surely
-    it is the scale.  It is read-only, because the checks of
+    it is a broadcast view of the scale, with no generator built and
+    nothing copied.  It is read-only, because the checks of
     :mod:`rosenthal.verify` keep its column means.
     """
 
@@ -350,6 +354,8 @@ class SimulationResult:
     @cached_property
     def increment_norms(self) -> np.ndarray:
         model, reps = self._model, self.final_norms.shape[0]
+        if model._unit_norm:  # a view of the scale; no generator is built
+            return model._increment_tile(None, reps)
         xnorm = _allocated("replications", reps, lambda: np.empty((reps, model.n)))
         _run_stream(model, self._seed, MOMENT_STREAM, self._threads,
                     lambda gen, rows: (model._increment_tile(gen, rows),), xnorm)

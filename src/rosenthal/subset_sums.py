@@ -267,7 +267,8 @@ def _layer_sums(
     rows = n + 1 if m >= 2 else 0
     scratch = n if n >= _SPLIT_MIN_N else 0
     work = np.empty(2 * n + 1 + rows + scratch)
-    g, col, w, split_work = np.split(work, np.cumsum([n + 1, rows, n]))
+    g, col = work[:n + 1], work[n + 1:n + 1 + rows]
+    w, split_work = work[n + 1 + rows:2 * n + 1 + rows], work[2 * n + 1 + rows:]
     terms = g[:n]
     np.divide(b, unit, out=w)
     np.multiply(w, w, out=w)

@@ -8,9 +8,13 @@ import time
 import numpy as np
 import pytest
 from conftest import make_valid_case
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenthal import cli, models
 from rosenthal.cli import build_parser, main
+from rosenthal.gaussian import ratio_curve
+from rosenthal.schedules import default_schedule, pq_eval
 
 SHARP_CASE = {
     "profile": {"n": 1, "t": 3.0, "moments": {"3": [1.0], "2": [1.0]}},
@@ -443,3 +447,195 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# The two-step output path that cli._report_text replaced, kept as its
+# oracle: round every float, then json.dumps or flatten.
+def _round_floats(obj):
+    """Recursively round floats to 12 significant digits for stable output."""
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def _flatten(data, prefix=""):
+    out = {}
+    if isinstance(data, dict):
+        for key in sorted(data):
+            out.update(_flatten(data[key], f"{prefix}{key}."))
+    elif isinstance(data, (list, tuple)):
+        for i, item in enumerate(data):
+            out.update(_flatten(item, f"{prefix}{i}."))
+    else:
+        out[prefix[:-1]] = data
+    return out
+
+
+def oracle_text(data, fmt):
+    """The stdout bytes of the two-step path."""
+    if fmt == "csv":
+        flat = _flatten(_round_floats(data))
+        cells = ["" if v is None else str(v) for v in flat.values()]
+        return ",".join(flat) + "\n" + ",".join(cells) + "\n"
+    return json.dumps(_round_floats(data), indent=2, sort_keys=True) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e16, max_value=1e22),
+    st.floats(min_value=-1e22, max_value=-1e16),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([-0.0, 5e-324, 2.225073858507201e-308, 9007199254740993.0,
+                     123456789012.5, 1e16, 1e22, math.inf, -math.inf, math.nan]),
+    st.integers(),
+    st.integers(min_value=2**53, max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["", "\u00e9t\u00e9", "\U0001d6c3", "\u2028", 'a"b\\c\n', "x.y", "a,b"]),
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        # Keys over "a.0" make dotted CSV paths collide.
+        st.dictionaries(st.text(max_size=4) | st.text("a.0", max_size=3), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(-20, 20), st.floats(allow_nan=False)),
+                        children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportText:
+    """``_report_text`` writes the bytes of the two-step path in one walk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_REPORTS)
+    def test_matches_two_step_path(self, data):
+        for fmt in ("json", "csv"):
+            assert cli._report_text(data, fmt) == oracle_text(data, fmt)
+
+    @pytest.mark.parametrize("data", [
+        {}, [], {"a": {}, "b": []}, [[], {}], -0.0, math.nan, "\u00e9", None,
+        {10.0: 1, 2.5: 2, -1.0: 3}, {"a.b": 1.0, "a": {"b": 2.0}}, {"a.b": None, "a": {"b": 2}},
+    ], ids=repr)
+    def test_edge_shapes(self, data):
+        for fmt in ("json", "csv"):
+            assert cli._report_text(data, fmt) == oracle_text(data, fmt)
+
+    def test_every_subcommand_and_format(self, request_argv, monkeypatch, capsys):
+        real = cli._report_text
+        for argv in request_argv:
+            seen = []
+            monkeypatch.setattr(
+                cli, "_report_text", lambda data, fmt: seen.append((data, fmt)) or real(data, fmt)
+            )
+            code, out, err = run_main(argv, capsys)
+            assert code == 0 and not err, (argv, err)
+            if argv[0] == "ratio-curve" and argv[-1] == "csv":
+                # Its own .12g text, where 4.0 prints as 4.
+                assert seen == []
+                rows = [f"{p.t:.12g},{p.ez_t:.12g},{p.ratio:.12g}" for p in ratio_curve(2.0, 4.0, 5)]
+                assert out == "\n".join(["t,ez_t,ratio", *rows]) + "\n"
+                assert rows[-1].startswith("4,")
+            else:
+                [(data, fmt)] = seen
+                assert fmt == argv[-1]
+                assert out == oracle_text(data, fmt), argv
+
+
+@pytest.fixture
+def request_argv(tmp_path):
+    """One request of each subcommand in each format; the bound case has a
+    custom schedule, so its report nests the schedule's table."""
+    case = {
+        "profile": {"n": 3, "t": 10.5, "moments": {
+            s: [1.0, 1.5, 1.0] for s in ("10.5", "8.5", "6.5", "4.5", "2.5", "2")}},
+        "envelope": {"b": [1.0, 1.2, 1.0]},
+        "D": 1.0,
+        "schedule": {"kind": "custom", "table": {
+            s: list(pq_eval(default_schedule(), float(s)))
+            for s in ("10.5", "8.5", "6.5", "4.5", "2.5", "2")}},
+    }
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(case))
+    commands = [
+        ["bound", "--input", str(path), "--method", "theorem"],
+        ["bound", "--input", str(path), "--method", "corollary", "--beta", "0.3"],
+        ["constants", "--t", "5", "--D", "1.5", "--beta", "0.2"],
+        ["ratio-curve", "--steps", "5"],
+        ["verify", "--model", "dependent", "--n", "3", "--t", "3", "--reps", "256"],
+        ["verify", "--model", "rademacher", "--n", "2", "--t", "3", "--reps", "64"],
+    ]
+    return [argv + ["--format", fmt] for argv in commands for fmt in ("json", "csv")]
+
+
+class TestOutputFile:
+    def test_file_holds_the_stdout_bytes(self, request_argv, tmp_path, capsys):
+        for argv in request_argv:
+            code, out, _ = run_main(argv, capsys)
+            assert code == 0 and out.endswith("\n")
+            path = tmp_path / "out.txt"
+            assert run_main(argv + ["--output", str(path)], capsys) == (0, "", "")
+            assert path.read_bytes() == out.encode("utf-8"), argv
+            assert run_main(argv + ["--output", "-"], capsys) == (0, out, "")
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParserLevel:
+    """``main`` parses a request with its subcommand's parser alone and
+    behaves exactly as a parse through the whole parser would."""
+
+    @pytest.fixture
+    def rows(self, sharp_case_file):
+        case = sharp_case_file
+        return [
+            [], ["-h"], ["bogus"], ["bound"], ["bound", "-h"],
+            ["bound", "--inp", case],
+            ["bound", "--input", case, "left-over"],
+            ["bound", "--input", case, "--method", "bogus"],
+            ["bound", "--input", case, "--method", "pin94", "--c", "2", "--format", "csv"],
+            ["constants", "--t", "3", "--format", "csv"],
+            ["ratio-curve", "--steps", "3", "--format", "json"],
+        ]
+
+    def test_same_exit_stdout_and_stderr_as_whole_parse(self, rows, monkeypatch, capsys):
+        one_level = [_outcome(argv, capsys) for argv in rows]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+        whole = [_outcome(argv, capsys) for argv in rows]
+        for argv, got, want in zip(rows, one_level, whole):
+            assert got == want, argv
+        codes = [code for code, _, _ in whole]
+        assert codes == [2, 0, 2, 2, 0, 0, 2, 2, 0, 0, 0]
+
+    def test_same_namespace_as_whole_parse(self, rows):
+        for argv in rows[5:6] + rows[8:]:
+            assert cli._parse(argv) == cli._parser().parse_args(argv)
+
+    def test_request_skips_the_whole_parser(self, sharp_case_file, monkeypatch, capsys):
+        def whole_parse(*args, **kwargs):
+            raise AssertionError("parsed through the whole parser")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", whole_parse)
+        code, out, _ = run_main(["bound", "--input", sharp_case_file], capsys)
+        assert code == 0 and json.loads(out)["value"] == 1.0
+
+    def test_argv_defaults_to_sys_argv(self, sharp_case_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["rosenthal", "bound", "--input", sharp_case_file])
+        code, out, _ = run_main(None, capsys)
+        assert code == 0 and json.loads(out)["value"] == 1.0
